@@ -14,14 +14,14 @@ import (
 	"popt/internal/kernels"
 )
 
-// sweepMatrix renders three structurally different experiments (a plain
-// grid, a base+setups grid, and a per-cell-generated-graph sweep) at the
-// given worker count.
+// sweepMatrix renders four structurally different experiments (a plain
+// grid, a base+setups grid, a per-cell-generated-graph sweep, and the
+// paired update-phase runs) at the given worker count.
 func sweepMatrix(workers int) string {
 	cfg := TinyConfig()
 	cfg.Workers = workers
 	var sb strings.Builder
-	for _, run := range []func(Config) *Report{Fig2, Fig7, Fig11} {
+	for _, run := range []func(Config) *Report{Fig2, Fig7, Fig11, Fig14} {
 		sb.WriteString(run(cfg).String())
 		sb.WriteByte('\n')
 	}

@@ -317,6 +317,38 @@ func TestWirecheckUpdateAfterVersionBump(t *testing.T) {
 	}
 }
 
+func TestWirecheckUpdateDropsRetiredStream(t *testing.T) {
+	// A baseline section for a stream FormatVersions no longer declares
+	// fails check mode; -update removes exactly that section and leaves
+	// every live stream's section byte-identical.
+	dir := copyModule(t, filepath.Join("testdata", "wiremod"))
+	path := filepath.Join(dir, "wireformat.baseline")
+	live, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withRetired := string(live) + "stream retired version 3\nop 1 ropA uvarint\nend\n"
+	if err := os.WriteFile(path, []byte(withRetired), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out, errOut := runCmd(t, "-C", dir, "-wirecheck", "-wirebaseline", "wireformat.baseline", "./...")
+	if code != 1 || !strings.Contains(out, `still locks stream "retired"`) {
+		t.Fatalf("check with a retired stream: exit %d, want 1 naming it (stdout %q, stderr %q)", code, out, errOut)
+	}
+	// -update still refuses the drift seed (exit 1), but it drops the
+	// retired section and must leave the file exactly as it was before.
+	if code, out, errOut = runCmd(t, "-C", dir, "-wirecheck", "-update", "-wirebaseline", "wireformat.baseline", "./..."); code != 1 || strings.Contains(out, "retired") {
+		t.Fatalf("-update with a retired stream: exit %d, want 1 without a retired finding (stdout %q, stderr %q)", code, out, errOut)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(after) != string(live) {
+		t.Errorf("-update did not remove exactly the retired section:\n%s\nwant:\n%s", after, live)
+	}
+}
+
 func TestHotpathGate(t *testing.T) {
 	dir := copyModule(t, filepath.Join("testdata", "hotmod"))
 

@@ -31,7 +31,7 @@ func main() {
 	scale := flag.String("scale", "default", "input scale: tiny, default, large")
 	seed := flag.Int64("seed", 42, "generator seed")
 	check := flag.Bool("check", false, "wrap the LLC policy in a runtime contract checker (panics on Policy-contract violations)")
-	dumptrace := flag.Bool("dumptrace", false, "record the run's reference stream and print event counts and encoded size")
+	dumptrace := flag.Bool("dumptrace", false, "record the run's LLC-visible reference stream and print its event counts and encoded size")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
 	flag.Parse()
@@ -82,9 +82,9 @@ func main() {
 	w := builder.New(g)
 	fmt.Printf("app=%s graph=%s policy=%s\n", w.Name, g, setup.Name)
 	var res bench.Result
-	var tr *trace.Trace
+	var tr *trace.LLCTrace
 	if *dumptrace {
-		res, tr = bench.RecordWorkload(cfg, w, setup)
+		res, tr = bench.RecordLLC(cfg, w, setup)
 	} else {
 		res = bench.RunWorkload(cfg, w, setup)
 	}
@@ -106,15 +106,15 @@ func main() {
 	fmt.Println("results verified against golden implementation: OK")
 }
 
-// dumpTrace prints the recorded stream's composition and encoding density.
-func dumpTrace(tr *trace.Trace) {
+// dumpTrace prints the recorded LLC-visible stream's composition and
+// encoding density.
+func dumpTrace(tr *trace.LLCTrace) {
 	st := tr.Stats()
-	fmt.Printf("trace: %d events in %d bytes (%.2f bytes/event)\n",
+	fmt.Printf("llc trace: %d events in %d bytes (%.2f bytes/event)\n",
 		st.Events(), tr.Size(), tr.BytesPerEvent())
-	fmt.Printf("  accesses=%d (writes=%d)  vertexUpdates=%d  iterations=%d\n",
-		st.Accesses, st.Writes, st.VertexUpdates, st.Iterations)
-	fmt.Printf("  tileSwitches=%d  mutedRegions=%d  tickEvents=%d (instrs=%d)\n",
-		st.TileSwitches, st.MutedRegions, st.TickEvents, st.TickedInstrs)
+	fmt.Printf("  accesses=%d (writes=%d)  writebacks=%d  vertexUpdates=%d\n",
+		st.Accesses, st.Writes, st.Writebacks, st.VertexUpdates)
+	fmt.Printf("  iterations=%d  tileSwitches=%d\n", st.Iterations, st.TileSwitches)
 }
 
 func pickGraph(cfg bench.Config, name, file string) *graph.Graph {

@@ -155,10 +155,7 @@ func cmdRecord(args []string) error {
 }
 
 func kindName(k byte) string {
-	switch k {
-	case trace.KindTrace:
-		return "trace"
-	case trace.KindLLC:
+	if k == trace.KindLLC {
 		return "llc"
 	}
 	return fmt.Sprintf("0x%02x", k)
@@ -219,15 +216,11 @@ func cmdInfo(args []string) error {
 		fmt.Printf("  chunks    %d\n", r.Chunks())
 		fmt.Printf("  events    %d\n", r.Events())
 		fmt.Printf("  crc       %08x\n", r.StreamCRC())
-		if s, ok := r.TraceStats(); ok {
-			fmt.Printf("  accesses  %d (%d writes)\n", s.Accesses, s.Writes)
-		}
-		if instructions, l1, l2, s, ok := r.LLCTotals(); ok {
-			fmt.Printf("  instrs    %d\n", instructions)
-			fmt.Printf("  llc-in    %d accesses, %d writebacks\n", s.Accesses, s.Writebacks)
-			fmt.Printf("  l1        %+v\n", l1)
-			fmt.Printf("  l2        %+v\n", l2)
-		}
+		instructions, l1, l2, s, _ := r.LLCTotals()
+		fmt.Printf("  instrs    %d\n", instructions)
+		fmt.Printf("  llc-in    %d accesses, %d writebacks\n", s.Accesses, s.Writebacks)
+		fmt.Printf("  l1        %+v\n", l1)
+		fmt.Printf("  l2        %+v\n", l2)
 		closer.Close()
 	}
 	return nil

@@ -376,31 +376,6 @@ func RunWorkload(c Config, w *kernels.Workload, s Setup) Result {
 	return b.finish(sim)
 }
 
-// RecordWorkload simulates one (workload, setup) pair live while encoding
-// the emitted reference stream, returning both the result and the trace.
-// The reference stream depends only on the workload (graph + schedule),
-// never on the policy setup — hooks and filters observe the stream without
-// steering kernel control flow — so the returned trace can drive any other
-// setup via ReplayWorkload with results byte-identical to a live run.
-func RecordWorkload(c Config, w *kernels.Workload, s Setup) (Result, *trace.Trace) {
-	b := buildCell(c, w, s)
-	sim := b.sim()
-	enc := trace.NewEncoder()
-	w.Run(kernels.NewSinkRunner(trace.NewTee(sim, enc)))
-	return b.finish(sim), enc.Trace()
-}
-
-// ReplayWorkload feeds a recorded reference stream into setup s. w is only
-// consulted for its immutable build inputs (graph, transpose, irregular
-// array layout — what Setup.Make needs); its kernel state is not run, so
-// one consumed workload can serve any number of replays.
-func ReplayWorkload(c Config, w *kernels.Workload, tr *trace.Trace, s Setup) Result {
-	b := buildCell(c, w, s)
-	sim := b.sim()
-	tr.Replay(sim)
-	return b.finish(sim)
-}
-
 // RecordLLC simulates one (workload, setup) pair live while recording the
 // LLC-visible stream — the paper's own trace form: the demand accesses
 // that miss L2, the writebacks they push down, and the hook events
@@ -421,8 +396,10 @@ func RecordLLC(c Config, w *kernels.Workload, s Setup) (Result, *trace.LLCTrace)
 // ReplayLLC feeds a recorded LLC-visible stream into setup s, simulating
 // only the LLC (the trace's L1/L2 statistics and instruction totals are
 // installed verbatim). Results are byte-identical to a live run — the
-// replay-equivalence golden pins this across the policy zoo. As with
-// ReplayWorkload, w is only consulted for immutable build inputs.
+// replay-equivalence golden pins this across the policy zoo. w is only
+// consulted for its immutable build inputs (graph, transpose, irregular
+// array layout — what Setup.Make needs); its kernel state is not run, so
+// one consumed workload can serve any number of replays.
 func ReplayLLC(c Config, w *kernels.Workload, tr *trace.LLCTrace, s Setup) Result {
 	b := buildCell(c, w, s)
 	sim := b.sim()

@@ -203,12 +203,10 @@ func Fig14(c Config) *Report {
 		},
 		Header: []string{"graph", "PB+DRRIP", "PB+P-OPT", "PHI+DRRIP", "PHI+P-OPT", "PHI coalesce"},
 	}
-	// One cell per (graph, phase variant): PB and PHI, each cell pairing
-	// the DRRIP and P-OPT runs so DRRIP records the phase's reference
-	// stream and P-OPT replays it (the PHI coalescing filter lives on the
-	// sink, so both see the identical emitted stream). The serial loop
-	// reported the coalesce rate of the PHI+P-OPT run; assembly reads that
-	// slot's value to keep the report byte-identical.
+	// One cell per (graph, phase variant): PB and PHI, each cell running
+	// the DRRIP and P-OPT seats (runUpdatePair). The serial loop reported
+	// the coalesce rate of the PHI+P-OPT run; assembly reads that slot's
+	// value to keep the report byte-identical.
 	suite := c.Suite()
 	type cellOut struct {
 		traffic  float64
@@ -304,23 +302,14 @@ func (u updateRun) finish(coalesce *float64) float64 {
 	return float64(u.h.DRAMReads + u.h.DRAMWrites)
 }
 
-// runUpdatePair simulates one update phase under DRRIP and under P-OPT
-// from a single phase execution: the DRRIP run executes the phase live
-// with an encoder teed on, and the P-OPT run replays the recorded stream.
-// Under NoReplay both runs execute fresh phases live, as before.
+// runUpdatePair simulates one update phase under DRRIP and under P-OPT,
+// each seat live on its own fresh phase execution.
 func runUpdatePair(c Config, mk func() *sched.UpdatePhase, g *graph.Graph, phiBuf bool, coalesce *float64) (baseTraffic, poptTraffic float64) {
 	phase := mk()
 	base := buildUpdateRun(c, g, phase.DstData, false, phiBuf)
-	if c.NoReplay {
-		phase.Run(kernels.NewSinkRunner(base.sim))
-		p2 := mk()
-		popt := buildUpdateRun(c, g, p2.DstData, true, phiBuf)
-		p2.Run(kernels.NewSinkRunner(popt.sim))
-		return base.finish(nil), popt.finish(coalesce)
-	}
-	enc := trace.NewEncoder()
-	phase.Run(kernels.NewSinkRunner(trace.NewTee(base.sim, enc)))
-	popt := buildUpdateRun(c, g, phase.DstData, true, phiBuf)
-	enc.Trace().Replay(popt.sim)
+	phase.Run(kernels.NewSinkRunner(base.sim))
+	p2 := mk()
+	popt := buildUpdateRun(c, g, p2.DstData, true, phiBuf)
+	p2.Run(kernels.NewSinkRunner(popt.sim))
 	return base.finish(nil), popt.finish(coalesce)
 }

@@ -34,8 +34,7 @@ func fingerprint(res Result) string {
 // every policy in the zoo (plus the paper's P-OPT/T-OPT variants), a
 // replayed recorded stream must produce counters identical to a fresh live
 // run — on a plain kernel (PR) and on a muting, frontier-driven one
-// (Radii). Both trace forms are pinned: the full typed event stream
-// (ReplayWorkload) and the LLC-visible stream the sweep engine uses
+// (Radii). The trace form is the LLC-visible stream the sweep engine uses
 // (ReplayLLC).
 func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 	c := TinyConfig()
@@ -52,10 +51,8 @@ func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 	}
 	g := graph.Uniform(1<<10, 4<<10, c.Seed)
 	for _, b := range builders {
-		// One recording run per trace form and kernel; LRU is arbitrary
-		// (the stream is policy-independent).
-		recW := b.New(g)
-		_, tr := RecordWorkload(c, recW, LRUSetup())
+		// One recording run per kernel; LRU is arbitrary (the stream is
+		// policy-independent).
 		recWL := b.New(g)
 		_, ltr := RecordLLC(c, recWL, LRUSetup())
 		for _, s := range setups {
@@ -64,9 +61,6 @@ func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 				live := fingerprint(RunWorkload(c, liveW, s))
 				if err := liveW.Check(); err != nil {
 					t.Fatal(err)
-				}
-				if replayed := fingerprint(ReplayWorkload(c, recW, tr, s)); live != replayed {
-					t.Errorf("full-stream replay diverged from live:\n live:   %s\n replay: %s", live, replayed)
 				}
 				if replayed := fingerprint(ReplayLLC(c, recWL, ltr, s)); live != replayed {
 					t.Errorf("LLC replay diverged from live:\n live:   %s\n replay: %s", live, replayed)
@@ -101,16 +95,9 @@ func TestRunStreamPiggybacksRecording(t *testing.T) {
 func BenchmarkLiveVsReplay(b *testing.B) {
 	c := TinyConfig()
 	g := graph.Uniform(1<<12, 4<<12, c.Seed)
-	recW := kernels.NewPageRank(g)
-	_, tr := RecordWorkload(c, recW, DRRIPSetup())
 	b.Run("live", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			RunWorkload(c, kernels.NewPageRank(g), DRRIPSetup())
-		}
-	})
-	b.Run("replay", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ReplayWorkload(c, recW, tr, DRRIPSetup())
 		}
 	})
 	recWL := kernels.NewPageRank(g)

@@ -180,15 +180,3 @@ func (l *Level) fillAt(set int, la uint64, acc mem.Access) (evicted Line, wasEvi
 	}
 	return evicted, wasEvicted
 }
-
-// AccessBatch runs a batch of demand references through the full
-// hierarchy in order. It is the bulk entry point for full-stream replay:
-// per-event results (the HitLevel) are not reported, but every counter
-// and state change is identical to calling Access per reference.
-//
-//popt:hot
-func (h *Hierarchy) AccessBatch(accs []mem.Access) {
-	for i := range accs {
-		h.Access(accs[i])
-	}
-}

@@ -66,10 +66,11 @@ const (
 
 // Runner is the kernel-side emitter of the typed event stream: each
 // Load/Store/SetVertex/... call becomes one trace.Sink event. The sink
-// decides what the stream means — live simulation (trace.Sim), recording
-// (trace.Encoder), capture for locality analysis, or a Tee of several. A
-// zero Runner (nil sink) performs pure computation: golden-model runs and
-// preprocessing timing use it.
+// decides what the stream means — live simulation (trace.Sim), capture
+// for locality analysis, or a Tee of several (the LLC-visible recording
+// tees a trace.LLCEncoder behind the live Sim). A zero Runner (nil sink)
+// performs pure computation: golden-model runs and preprocessing timing
+// use it.
 type Runner struct {
 	sink trace.Sink
 
@@ -78,8 +79,8 @@ type Runner struct {
 	// direction-switching executes those in push mode, and — like the
 	// paper, which samples only pull iterations in detail — we exclude
 	// them from the simulated reference stream for every policy alike.
-	// Mute/Unmute boundary markers are emitted on each transition so
-	// recorded streams keep the round structure visible.
+	// The transition itself emits nothing: a muted round is simply absent
+	// from the stream.
 	muted bool
 }
 
@@ -113,18 +114,7 @@ func (r *Runner) SetVertex(v graph.V) {
 
 // SetMuted switches emission off (true) or on (false); see muted.
 func (r *Runner) SetMuted(m bool) {
-	if r.muted == m {
-		return
-	}
 	r.muted = m
-	if r.sink == nil {
-		return
-	}
-	if m {
-		r.sink.Mute()
-	} else {
-		r.sink.Unmute()
-	}
 }
 
 // SetTile reports that a segmented kernel moved to tile t.

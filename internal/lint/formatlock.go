@@ -107,6 +107,29 @@ func runFormatLock(pass *Pass, path string, update bool) error {
 			}
 		}
 	}
+	// A baseline stream the package's FormatVersions registry no longer
+	// declares has been retired: nothing encodes or decodes it, so its
+	// section only hides the retirement. -update drops it; check mode
+	// asks for that deliberate step.
+	if reg := registryLit(pass, "FormatVersions"); reg != nil {
+		retired := make([]string, 0, len(baseline))
+		for name := range baseline {
+			if _, live := versions[name]; !live {
+				retired = append(retired, name)
+			}
+		}
+		sort.Strings(retired)
+		for _, name := range retired {
+			if update {
+				delete(baseline, name)
+				changed = true
+				continue
+			}
+			pass.Reportf(reg.Pos(),
+				"wire-format baseline %s still locks stream %q, which FormatVersions no longer declares; drop its section with `poptlint -wirecheck -update`",
+				path, name)
+		}
+	}
 	if update && (changed || !haveFile) {
 		if err := writeWireBaseline(path, baseline); err != nil {
 			return fmt.Errorf("writing wire baseline %s: %w", path, err)
@@ -251,9 +274,9 @@ func wireHeaderFields(pass *Pass) map[string][]string {
 	return out
 }
 
-// forEachRegistryEntry visits the key/value entries of a package-level
-// map-literal var with the given name.
-func forEachRegistryEntry(pass *Pass, varName string, visit func(key string, kv *ast.KeyValueExpr)) {
+// registryLit returns the map literal of the package-level var with the
+// given name, or nil if the package declares no such literal.
+func registryLit(pass *Pass, varName string) *ast.CompositeLit {
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -269,23 +292,32 @@ func forEachRegistryEntry(pass *Pass, varName string, visit func(key string, kv 
 					if name.Name != varName || i >= len(vs.Values) {
 						continue
 					}
-					lit, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, el := range lit.Elts {
-						kv, ok := el.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						tv, ok := pass.TypesInfo.Types[kv.Key]
-						if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-							continue
-						}
-						visit(constant.StringVal(tv.Value), kv)
+					if lit, ok := vs.Values[i].(*ast.CompositeLit); ok {
+						return lit
 					}
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// forEachRegistryEntry visits the key/value entries of a package-level
+// map-literal var with the given name.
+func forEachRegistryEntry(pass *Pass, varName string, visit func(key string, kv *ast.KeyValueExpr)) {
+	lit := registryLit(pass, varName)
+	if lit == nil {
+		return
+	}
+	for _, el := range lit.Elts {
+		kv, ok := el.(*ast.KeyValueExpr)
+		if !ok {
+			continue
+		}
+		tv, ok := pass.TypesInfo.Types[kv.Key]
+		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+			continue
+		}
+		visit(constant.StringVal(tv.Value), kv)
 	}
 }

@@ -22,7 +22,6 @@ var FrozenTypes = []string{
 	"popt/internal/core.LineRefs",
 	"popt/internal/graph.Graph",
 	"popt/internal/graph.Adj",
-	"popt/internal/trace.Trace",
 	"popt/internal/trace.LLCTrace",
 	"popt/internal/corpus.Entry",
 }

@@ -1,11 +1,12 @@
 // Package wirelock seeds formatlock violations against the checked-in
 // testdata/wirelock.baseline: stream "fresh" matches its baseline entry,
 // "drift" changed layout without a version bump, "stale" bumped its
-// version without regenerating the baseline, and "noentry" is annotated
-// but missing from FormatVersions entirely.
+// version without regenerating the baseline, "noentry" is annotated
+// but missing from FormatVersions entirely, and "retired" is still locked
+// in the baseline although the package no longer declares it.
 package wirelock
 
-var FormatVersions = map[string]byte{
+var FormatVersions = map[string]byte{ // want `wire-format baseline testdata/wirelock.baseline still locks stream "retired", which FormatVersions no longer declares`
 	"fresh": 1,
 	"drift": 1, // want `wire fingerprint of stream "drift" changed but FormatVersions\["drift"\] is still 1`
 	"stale": 2, // want `wire-format baseline for stream "stale" is stale \(baseline version 1, package declares 2\)`

@@ -29,12 +29,11 @@ import (
 //
 // The walk is a small abstract interpreter, not a syntax match:
 //
-//   - Opcode variables are tracked concretely: `op := opAccessR`,
-//     `op = opAccessW`, `op += opAccessRT - opAccessR` all evaluate, so
-//     one encoder function can emit several opcodes and each is
-//     attributed its own payload.
+//   - Opcode variables are tracked concretely: `op := opA`, `op = opB`,
+//     `op += opC - opA` all evaluate, so one encoder function can emit
+//     several opcodes and each is attributed its own payload.
 //   - Branches whose condition involves only tracked values evaluate to
-//     one side (`if op >= opAccessRT` inside a multi-opcode case arm).
+//     one side (`if op >= opC` inside a multi-opcode case arm).
 //   - Other branches fork the walk; textually identical conditions are
 //     memoized per path, so the two `pending != 0` blocks in an encoder
 //     correlate instead of multiplying into impossible paths.
@@ -116,7 +115,7 @@ func parseCodecFuncs(pass *Pass, report bool) []*codecFn {
 // re-valued spec (opMask, pcEscape, ...) are members but not opcodes.
 type opBlock struct {
 	decl      *ast.GenDecl
-	universe  []string        // opcode names, declaration order
+	universe  []string // opcode names, declaration order
 	values    map[string]int64
 	names     map[int64]string // value -> first opcode name
 	blockName string           // first opcode name, for messages

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the write side of the chunked on-disk trace container
-// (DESIGN.md §12) — the persistent form of both event streams. A
-// container is:
+// (DESIGN.md §12) — the persistent form of the LLC-visible event stream.
+// A container is:
 //
 //	header   'p' 'c' version kind innerVersion        (5 bytes)
 //	frames   cfChunk ... cfChunk cfStats cfIndex cfMeta
@@ -59,11 +59,11 @@ type chunkInfo struct {
 	crc     uint32 // IEEE CRC-32 of the payload
 }
 
-// ContainerWriter streams one container to an io.Writer. Encoders created
-// with NewChunkedEncoder / NewChunkedLLCEncoder emit chunk frames through
-// it as they fill; the encoder's Finish sets the stats payload and the
-// owner then calls Finish here to write the footer and trailer. Writers
-// are single-goroutine, like the encoders that feed them.
+// ContainerWriter streams one container to an io.Writer. An encoder
+// created with NewChunkedLLCEncoder emits chunk frames through it as they
+// fill; the encoder's Finish sets the stats payload and the owner then
+// calls Finish here to write the footer and trailer. Writers are
+// single-goroutine, like the encoders that feed them.
 type ContainerWriter struct {
 	w          io.Writer
 	kind       byte
@@ -78,21 +78,15 @@ type ContainerWriter struct {
 	finished   bool
 }
 
-// NewContainerWriter writes the container header for the given kind and
-// returns a writer for its frames. meta is recorded verbatim in the
-// footer's cfMeta frame.
+// NewContainerWriter writes the container header for the given kind
+// (KindLLC, the only kind) and returns a writer for its frames. meta is
+// recorded verbatim in the footer's cfMeta frame.
 func NewContainerWriter(w io.Writer, kind byte, meta Meta) (*ContainerWriter, error) {
-	var inner byte
-	switch kind {
-	case KindTrace:
-		inner = TraceFormatVersion
-	case KindLLC:
-		inner = LLCFormatVersion
-	default:
-		return nil, fmt.Errorf("trace: container kind %q is not %q or %q", kind, KindTrace, KindLLC)
+	if kind != KindLLC {
+		return nil, fmt.Errorf("trace: container kind %q is not %q", kind, KindLLC)
 	}
 	cw := &ContainerWriter{w: w, kind: kind, meta: meta, chunkBytes: DefaultChunkBytes}
-	cw.writeAll([]byte{magic0, magicContainer1, ContainerFormatVersion, kind, inner})
+	cw.writeAll([]byte{magic0, magicContainer1, ContainerFormatVersion, kind, LLCFormatVersion})
 	return cw, cw.err
 }
 
@@ -121,7 +115,7 @@ func (w *ContainerWriter) writeAll(p []byte) {
 }
 
 // writeChunk records one chunk's index entry and emits its frame. Called
-// by the chunked encoders at event boundaries; empty chunks are dropped.
+// by the chunked encoder at event boundaries; empty chunks are dropped.
 func (w *ContainerWriter) writeChunk(events, firstPC uint64, payload []byte) {
 	if w.err != nil || len(payload) == 0 {
 		return
@@ -192,7 +186,7 @@ func (w *ContainerWriter) writeMetaFrame(payload []byte) {
 }
 
 // setStats installs the encoded stream-totals payload; the chunked
-// encoders call it from Finish, before the owner calls ContainerWriter
+// encoder calls it from Finish, before the owner calls ContainerWriter
 // Finish.
 func (w *ContainerWriter) setStats(payload []byte) { w.stats = payload }
 
@@ -260,20 +254,6 @@ func encodeMeta(m Meta) []byte {
 	return buf
 }
 
-// encodeTraceStats renders the cfStats payload of a KindTrace container:
-// the whole-stream CRC then the Stats counters, all uvarints, in struct
-// order.
-func encodeTraceStats(s Stats, streamCRC uint32) []byte {
-	buf := appendUvarint(nil, uint64(streamCRC))
-	for _, x := range [8]uint64{
-		s.Accesses, s.Writes, s.VertexUpdates, s.Iterations,
-		s.TileSwitches, s.MutedRegions, s.TickEvents, s.TickedInstrs,
-	} {
-		buf = appendUvarint(buf, x)
-	}
-	return buf
-}
-
 // encodeLLCStats renders the cfStats payload of a KindLLC container: the
 // whole-stream CRC, the setup-invariant totals (instructions, L1, L2 —
 // what the in-memory form carries in its fixed header), then the LLCStats
@@ -294,26 +274,11 @@ func encodeLLCStats(s LLCStats, instructions uint64, l1, l2 cache.Stats, streamC
 	return buf
 }
 
-// WriteTraceContainer re-encodes an in-memory full stream as a container
-// on w: replaying the trace into a chunked encoder reproduces the exact
-// event sequence with fresh per-chunk delta state. Used by poptsim-style
-// tools and popttrace rechunk; recording paths stream directly instead.
-func WriteTraceContainer(t *Trace, w io.Writer, meta Meta, chunkBytes int) error {
-	cw, err := NewContainerWriter(w, KindTrace, meta)
-	if err != nil {
-		return err
-	}
-	cw.SetChunkBytes(chunkBytes)
-	enc := NewChunkedEncoder(cw)
-	t.Replay(enc)
-	if err := enc.Finish(); err != nil {
-		return err
-	}
-	return cw.Finish()
-}
-
 // WriteLLCContainer re-encodes an in-memory LLC-visible stream as a
-// container on w; see WriteTraceContainer.
+// container on w: decoding the trace into a chunked encoder reproduces
+// the exact event sequence with fresh per-chunk delta state. Used by
+// tests and tools that hold an in-memory trace; recording paths stream
+// directly instead.
 func WriteLLCContainer(t *LLCTrace, w io.Writer, meta Meta, chunkBytes int) error {
 	cw, err := NewContainerWriter(w, KindLLC, meta)
 	if err != nil {

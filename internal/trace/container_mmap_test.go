@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 
 	"popt/internal/cache"
@@ -24,13 +23,13 @@ func writeTempContainer(t *testing.T, data []byte) string {
 // TestContainerMappedReplay pins the zero-copy mapped window mode against
 // the pread path: the same file opened both ways (OpenContainerFile's
 // mmap, and OpenContainer over the raw file, which forces pread copies)
-// must verify clean and replay the identical event sequence, and the
+// must verify clean and replay to identical counters, and the
 // bounded-window accounting must report the same high-water mark whether
 // the windows are mapped views or heap copies.
 func TestContainerMappedReplay(t *testing.T) {
-	tr := encodeRandomStream(11, 2000)
+	tr := encodeRandomLLCStream(11, 2000)
 	var buf bytes.Buffer
-	if err := WriteTraceContainer(tr, &buf, testMeta(), 512); err != nil {
+	if err := WriteLLCContainer(tr, &buf, testMeta(), 512); err != nil {
 		t.Fatal(err)
 	}
 	path := writeTempContainer(t, buf.Bytes())
@@ -69,14 +68,18 @@ func TestContainerMappedReplay(t *testing.T) {
 	if err := copied.Verify(); err != nil {
 		t.Fatalf("Verify (pread): %v", err)
 	}
-	a, b := &recordSink{}, &recordSink{}
-	if err := mapped.ReplayTrace(a, ReplayOptions{}); err != nil {
-		t.Fatalf("ReplayTrace (mapped): %v", err)
+	// One worker and a one-chunk window: the sequential replay whose
+	// resident bound is a single chunk.
+	seq := ReplayOptions{Workers: 1, Window: 1}
+	a := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+	b := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+	if err := mapped.ReplayLLC(a, seq); err != nil {
+		t.Fatalf("ReplayLLC (mapped): %v", err)
 	}
-	if err := copied.ReplayTrace(b, ReplayOptions{}); err != nil {
-		t.Fatalf("ReplayTrace (pread): %v", err)
+	if err := copied.ReplayLLC(b, seq); err != nil {
+		t.Fatalf("ReplayLLC (pread): %v", err)
 	}
-	if !reflect.DeepEqual(a.evs, b.evs) {
+	if countersOf(a) != countersOf(b) {
 		t.Fatal("mapped replay diverges from the pread replay")
 	}
 	if mapped.MaxResidentBytes() != copied.MaxResidentBytes() {
@@ -183,9 +186,9 @@ func BenchmarkContainerWindowModes(b *testing.B) {
 // releases the mapping exactly once, and a reader over a caller-owned
 // ReaderAt treats Close as a no-op.
 func TestContainerMappedClose(t *testing.T) {
-	tr := encodeRandomStream(17, 200)
+	tr := encodeRandomLLCStream(17, 200)
 	var buf bytes.Buffer
-	if err := WriteTraceContainer(tr, &buf, testMeta(), 0); err != nil {
+	if err := WriteLLCContainer(tr, &buf, testMeta(), 0); err != nil {
 		t.Fatal(err)
 	}
 	path := writeTempContainer(t, buf.Bytes())

@@ -7,51 +7,33 @@ import (
 	"popt/internal/cache"
 )
 
-// This file is the untrusted-input half of the wire formats: the hot
-// replay paths in record.go / llc.go assume a stream produced by this
-// process's encoders and panic on corruption (badOp / badEOF /
-// badTraceHeader), which is the right contract for in-memory round trips
-// but not for bytes read back off disk. DecodeTrace and DecodeLLCTrace
-// validate a byte stream completely — header magic, format version, every
-// opcode, every varint boundary — and return errors instead of
-// panicking. A successfully decoded trace is structurally sound by
-// construction, so its Replay may keep using the panic-based hot loops
-// unchanged. This is the robustness prerequisite for the roadmap's
-// persistent trace corpus.
-
-// Bytes returns the encoded stream, header included — the exact byte
-// form DecodeTrace accepts. The slice aliases the trace's storage
-// (Trace is //popt:frozen): callers persist or copy it, never mutate.
-func (t *Trace) Bytes() []byte { return t.data }
+// This file is the untrusted-input half of the wire format: the hot
+// replay path in llc.go assumes a stream produced by this process's
+// encoder and panics on corruption (badOp / badEOF / badLLCHeader), which
+// is the right contract for in-memory round trips but not for bytes read
+// back off disk. DecodeLLCTrace validates a byte stream completely —
+// header magic, format version, every opcode, every varint boundary — and
+// returns errors instead of panicking. A successfully decoded trace is
+// structurally sound by construction, so its Replay may keep using the
+// panic-based hot loop unchanged. This is the robustness prerequisite for
+// the persistent trace corpus.
 
 // Bytes returns the encoded LLC stream, header included — the exact byte
-// form DecodeLLCTrace accepts. The slice aliases the trace's storage.
+// form DecodeLLCTrace accepts. The slice aliases the trace's storage
+// (LLCTrace is //popt:frozen): callers persist or copy it, never mutate.
 func (t *LLCTrace) Bytes() []byte { return t.data }
-
-// DecodeTrace validates data as an encoded full pre-L1 stream and
-// returns it as a replayable Trace. The whole stream is scanned: a bad
-// magic, an unsupported format version, an unknown opcode, or a varint
-// running off the end of the buffer is an error, never a panic. Stream
-// statistics are recomputed during the scan, so the result reports
-// Stats/BytesPerEvent exactly like the encoder that produced the bytes.
-// The returned Trace takes ownership of data; the caller must not mutate
-// it afterwards.
-func DecodeTrace(data []byte) (*Trace, error) {
-	if err := checkHeaderErr(data, magicTrace1, TraceFormatVersion, traceHeaderLen, "trace"); err != nil {
-		return nil, err
-	}
-	stats, err := scanTrace(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{data: data, stats: stats}, nil
-}
 
 // DecodeLLCTrace validates data as an encoded LLC-visible stream and
 // returns it as a replayable LLCTrace, reading the setup-invariant totals
-// (instructions, L1/L2 statistics) back out of the header.
+// (instructions, L1/L2 statistics) back out of the header. The whole
+// stream is scanned: a bad magic, an unsupported format version, an
+// unknown opcode, or a varint running off the end of the buffer is an
+// error, never a panic. Stream statistics are recomputed during the scan,
+// so the result reports Stats/BytesPerEvent exactly like the encoder that
+// produced the bytes. The returned trace takes ownership of data; the
+// caller must not mutate it afterwards.
 func DecodeLLCTrace(data []byte) (*LLCTrace, error) {
-	if err := checkHeaderErr(data, magicLLC1, LLCFormatVersion, llcHeaderLen, "llc"); err != nil {
+	if err := checkLLCHeaderErr(data); err != nil {
 		return nil, err
 	}
 	at := 3
@@ -84,100 +66,31 @@ func DecodeLLCTrace(data []byte) (*LLCTrace, error) {
 	}, nil
 }
 
-// checkHeaderErr is the error-returning counterpart of
-// checkTraceHeader/checkLLCHeader.
-func checkHeaderErr(data []byte, m1, version byte, hlen int, stream string) error {
-	if len(data) < hlen {
-		return fmt.Errorf("trace: %s stream truncated: %d byte(s), header needs %d", stream, len(data), hlen)
+// checkLLCHeaderErr is the error-returning counterpart of checkLLCHeader.
+func checkLLCHeaderErr(data []byte) error {
+	if len(data) < llcHeaderLen {
+		return fmt.Errorf("trace: llc stream truncated: %d byte(s), header needs %d", len(data), llcHeaderLen)
 	}
-	if data[0] != magic0 || data[1] != m1 {
-		return fmt.Errorf("trace: not a %s stream: magic % x, want %c%c", stream, data[:2], magic0, m1)
+	if data[0] != magic0 || data[1] != magicLLC1 {
+		return fmt.Errorf("trace: not a llc stream: magic % x, want %c%c", data[:2], magic0, magicLLC1)
 	}
-	if data[2] != version {
-		return fmt.Errorf("trace: %s stream is format version %d, this decoder reads version %d; re-record the trace or migrate the corpus", stream, data[2], version)
+	if data[2] != LLCFormatVersion {
+		return fmt.Errorf("trace: llc stream is format version %d, this decoder reads version %d; re-record the trace or migrate the corpus", data[2], LLCFormatVersion)
 	}
 	return nil
 }
 
-// scanTrace walks every event of a full-stream body, validating structure
+// scanLLC walks every event of an LLC-stream body, validating structure
 // and recomputing the statistics the encoder would have collected.
-func scanTrace(data []byte) (Stats, error) {
-	return scanTraceFrom(data, traceHeaderLen)
-}
-
-// scanTraceFrom validates full-stream event bytes starting at i — the
-// whole body for DecodeTrace, a single headerless chunk payload for the
-// container reader. The opcode dispatch mirrors replayTraceEvents arm for
-// arm; the codecpair analyzer holds every decoder to the encoder's opcode
-// payloads.
-//
-//popt:codec trace dec
-func scanTraceFrom(data []byte, i int) (Stats, error) {
-	var stats Stats
-	for i < len(data) {
-		b := data[i]
-		at := i
-		i++
-		op := b & opMask
-		var err error
-		switch op {
-		case opAccessR, opAccessW, opAccessRT, opAccessWT:
-			if hi := b >> 4; hi == pcEscape {
-				if _, i, err = uvarintChecked(data, i); err != nil {
-					return Stats{}, err
-				}
-			}
-			if op >= opAccessRT {
-				var ticks uint64
-				if ticks, i, err = uvarintChecked(data, i); err != nil {
-					return Stats{}, err
-				}
-				stats.TickEvents++
-				stats.TickedInstrs += ticks
-			}
-			if _, i, err = varintChecked(data, i); err != nil {
-				return Stats{}, err
-			}
-			stats.Accesses++
-			if op == opAccessW || op == opAccessWT {
-				stats.Writes++
-			}
-		case opSetVertex:
-			if _, i, err = varintChecked(data, i); err != nil {
-				return Stats{}, err
-			}
-			stats.VertexUpdates++
-		case opStartIteration:
-			stats.Iterations++
-		case opSetTile:
-			if _, i, err = uvarintChecked(data, i); err != nil {
-				return Stats{}, err
-			}
-			stats.TileSwitches++
-		case opMute:
-			stats.MutedRegions++
-		case opUnmute:
-		case opTick:
-			var ticks uint64
-			if ticks, i, err = uvarintChecked(data, i); err != nil {
-				return Stats{}, err
-			}
-			stats.TickEvents++
-			stats.TickedInstrs += ticks
-		default:
-			return Stats{}, fmt.Errorf("trace: corrupt trace stream: opcode %d at byte %d", op, at)
-		}
-	}
-	return stats, nil
-}
-
-// scanLLC walks every event of an LLC-stream body; see scanTrace.
 func scanLLC(data []byte) (LLCStats, error) {
 	return scanLLCFrom(data, llcHeaderLen)
 }
 
-// scanLLCFrom validates LLC-stream event bytes starting at i; see
-// scanTraceFrom.
+// scanLLCFrom validates LLC-stream event bytes starting at i — the whole
+// body for DecodeLLCTrace, a single headerless chunk payload for the
+// container reader. The opcode dispatch mirrors LLCTrace.Replay arm for
+// arm; the codecpair analyzer holds every decoder to the encoder's opcode
+// payloads.
 //
 //popt:codec llc dec
 func scanLLCFrom(data []byte, i int) (LLCStats, error) {

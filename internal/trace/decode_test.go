@@ -1,13 +1,11 @@
 package trace
 
 import (
-	"math/rand"
-	"reflect"
+	"bytes"
 	"strings"
 	"testing"
 
 	"popt/internal/cache"
-	"popt/internal/graph"
 	"popt/internal/mem"
 )
 
@@ -19,90 +17,6 @@ func tinyConfig() cache.Config {
 		L2Size: 2 << 10, L2Ways: 2,
 		LLCSize: 4 << 10, LLCWays: 4,
 		LLCPolicy: func() cache.Policy { return cache.NewLRU() },
-	}
-}
-
-// encodeRandomStream builds a pseudo-random full stream exercising every
-// opcode, inline and escaped PCs, and merged tick+access events.
-func encodeRandomStream(seed int64, n int) *Trace {
-	rng := rand.New(rand.NewSource(seed))
-	enc := NewEncoder()
-	for i := 0; i < n; i++ {
-		switch rng.Intn(10) {
-		case 0:
-			enc.SetVertex(graph.V(rng.Uint32()))
-		case 1:
-			enc.StartIteration()
-		case 2:
-			enc.SetTile(rng.Intn(64))
-		case 3:
-			enc.Mute()
-			enc.Unmute()
-		case 4, 5:
-			enc.Tick(uint64(rng.Intn(1000)))
-		default:
-			enc.Access(mem.Access{
-				Addr:  rng.Uint64(),
-				PC:    uint16(rng.Intn(1 << 16)),
-				Write: rng.Intn(2) == 0,
-			})
-		}
-	}
-	return enc.Trace()
-}
-
-// TestDecodeTraceRoundTrip pins the validating decoder against the
-// encoder: decoding a real encoded stream must succeed, reproduce the
-// encoder's statistics exactly, and replay the identical event sequence.
-func TestDecodeTraceRoundTrip(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		tr := encodeRandomStream(seed, 500)
-		dec, err := DecodeTrace(tr.Bytes())
-		if err != nil {
-			t.Fatalf("seed %d: DecodeTrace on a real stream: %v", seed, err)
-		}
-		if dec.Stats() != tr.Stats() {
-			t.Fatalf("seed %d: recomputed stats %+v != encoder stats %+v", seed, dec.Stats(), tr.Stats())
-		}
-		a, b := &recordSink{}, &recordSink{}
-		tr.Replay(a)
-		dec.Replay(b)
-		if !reflect.DeepEqual(a.evs, b.evs) {
-			t.Fatalf("seed %d: decoded trace replays differently", seed)
-		}
-	}
-}
-
-// TestDecodeTraceRejectsCorruptInput drives the error paths that the
-// panic-based hot replay deliberately does not have: every corruption
-// must come back as an error naming the problem.
-func TestDecodeTraceRejectsCorruptInput(t *testing.T) {
-	header := []byte{magic0, magicTrace1, TraceFormatVersion}
-	cases := []struct {
-		name string
-		data []byte
-		want string
-	}{
-		{"empty", nil, "truncated"},
-		{"short header", []byte{magic0}, "truncated"},
-		{"bad magic", []byte{'x', 'y', TraceFormatVersion}, "not a trace stream"},
-		{"future version", []byte{magic0, magicTrace1, TraceFormatVersion + 1}, "format version"},
-		{"unknown opcode", append(append([]byte{}, header...), 0x0b), "opcode 11"},
-		{"zero opcode", append(append([]byte{}, header...), 0x00), "opcode 0"},
-		{"missing payload", append(append([]byte{}, header...), opSetTile), "truncated varint"},
-		{"unterminated varint", append(append([]byte{}, header...), opSetTile, 0x80, 0x80), "truncated varint"},
-		{"truncated access delta", append(append([]byte{}, header...), opAccessR|2<<4), "truncated varint"},
-		{"truncated escaped pc", append(append([]byte{}, header...), opAccessR|pcEscape<<4), "truncated varint"},
-	}
-	for _, tc := range cases {
-		tr, err := DecodeTrace(tc.data)
-		if err == nil {
-			t.Errorf("%s: DecodeTrace accepted corrupt input (stats %+v)", tc.name, tr.Stats())
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
 	}
 }
 
@@ -144,8 +58,10 @@ func TestDecodeLLCTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeLLCTraceRejectsCorruptInput mirrors the full-stream corrupt
-// cases for the LLC form, including its larger fixed-width header.
+// TestDecodeLLCTraceRejectsCorruptInput drives the error paths that the
+// panic-based hot replay deliberately does not have: every corruption —
+// including one inside the large fixed-width header — must come back as
+// an error naming the problem.
 func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
 	valid := NewLLCEncoder().Trace(1, cache.Stats{}, cache.Stats{}).Bytes()
 	header := append([]byte{}, valid...) // a bare, valid header
@@ -161,7 +77,10 @@ func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
 		{"bad magic", append([]byte{'q', 'q'}, header[2:]...), "not a llc stream"},
 		{"future version", badVersion, "format version"},
 		{"unknown opcode", append(append([]byte{}, header...), 0x07), "opcode 7"},
+		{"zero opcode", append(append([]byte{}, header...), 0x00), "opcode 0"},
 		{"missing payload", append(append([]byte{}, header...), lopWB), "truncated varint"},
+		{"unterminated varint", append(append([]byte{}, header...), lopSetTile, 0x80, 0x80), "truncated varint"},
+		{"truncated access delta", append(append([]byte{}, header...), lopAccessR|2<<4), "truncated varint"},
 		{"truncated escaped pc", append(append([]byte{}, header...), lopAccessW|pcEscape<<4), "truncated varint"},
 	}
 	for _, tc := range cases {
@@ -179,19 +98,23 @@ func TestDecodeLLCTraceRejectsCorruptInput(t *testing.T) {
 // error through the validating decoder and as a panic on the hot replay
 // path — rather than misdecoding.
 func TestFormatVersionsRideTheHeaders(t *testing.T) {
-	full := encodeRandomStream(1, 50).Bytes()
-	if got := full[2]; got != FormatVersions["trace"] {
-		t.Fatalf("trace header carries version %d, FormatVersions says %d", got, FormatVersions["trace"])
-	}
-	llc := NewLLCEncoder().Trace(0, cache.Stats{}, cache.Stats{}).Bytes()
+	llc := encodeRandomLLCStream(1, 50).Bytes()
 	if got := llc[2]; got != FormatVersions["llc"] {
 		t.Fatalf("llc header carries version %d, FormatVersions says %d", got, FormatVersions["llc"])
 	}
+	var buf bytes.Buffer
+	if err := WriteLLCContainer(encodeRandomLLCStream(1, 50), &buf, testMeta(), 0); err != nil {
+		t.Fatal(err)
+	}
+	if c := buf.Bytes(); c[2] != FormatVersions["container"] || c[4] != FormatVersions["llc"] {
+		t.Fatalf("container header carries versions %d/%d, FormatVersions says %d/%d",
+			c[2], c[4], FormatVersions["container"], FormatVersions["llc"])
+	}
 
-	mutated := append([]byte{}, full...)
+	mutated := append([]byte{}, llc...)
 	mutated[2]++
-	if _, err := DecodeTrace(mutated); err == nil || !strings.Contains(err.Error(), "format version") {
-		t.Fatalf("DecodeTrace on a version-bumped stream: %v, want format-version error", err)
+	if _, err := DecodeLLCTrace(mutated); err == nil || !strings.Contains(err.Error(), "format version") {
+		t.Fatalf("DecodeLLCTrace on a version-bumped stream: %v, want format-version error", err)
 	}
 
 	// The hot path must refuse too: replaying under the wrong version
@@ -205,8 +128,8 @@ func TestFormatVersionsRideTheHeaders(t *testing.T) {
 			t.Fatalf("Replay panic %q does not mention the header", r)
 		}
 	}()
-	bad := &Trace{data: mutated}
-	bad.Replay(&recordSink{})
+	bad := &LLCTrace{data: mutated}
+	bad.Replay(NewSim(cache.NewHierarchy(tinyConfig()), nil))
 }
 
 // TestHeaderLayoutMatchesDeclaration pins the declarative HeaderFields
@@ -234,9 +157,6 @@ func TestHeaderLayoutMatchesDeclaration(t *testing.T) {
 		}
 		return total
 	}
-	if got := width(HeaderFields["trace"]); got != traceHeaderLen {
-		t.Errorf("declared trace header is %d bytes, encoder reserves %d", got, traceHeaderLen)
-	}
 	if got := width(HeaderFields["llc"]); got != llcHeaderLen {
 		t.Errorf("declared llc header is %d bytes, encoder reserves %d", got, llcHeaderLen)
 	}
@@ -256,7 +176,7 @@ func TestHeaderLayoutMatchesDeclaration(t *testing.T) {
 	if got := width(tail); got != containerTrailerLen {
 		t.Errorf("declared container trailer is %d bytes, writer emits %d", got, containerTrailerLen)
 	}
-	for _, stream := range []string{"trace", "llc", "container"} {
+	for _, stream := range []string{"llc", "container"} {
 		fields := HeaderFields[stream]
 		if len(fields) < 2 || !strings.HasPrefix(fields[0], "magic:p") || fields[1] != "version:u8" {
 			t.Errorf("%s header must open with the magic and version fields, got %v", stream, fields)

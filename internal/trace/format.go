@@ -20,8 +20,6 @@ import "fmt"
 // the formatlock analyzer refuses fingerprint drift that is not
 // accompanied by a bump.
 const (
-	// TraceFormatVersion versions the full pre-L1 stream (record.go).
-	TraceFormatVersion byte = 1
 	// LLCFormatVersion versions the LLC-visible stream (llc.go).
 	LLCFormatVersion byte = 1
 	// ContainerFormatVersion versions the chunked on-disk container
@@ -36,7 +34,6 @@ const (
 // wirecheck analyzers cross-check against the `//popt:codec <stream>`
 // annotations. The keys are the stream names used in those annotations.
 var FormatVersions = map[string]byte{
-	"trace":     TraceFormatVersion,
 	"llc":       LLCFormatVersion,
 	"container": ContainerFormatVersion,
 }
@@ -47,15 +44,14 @@ var FormatVersions = map[string]byte{
 // do), and TestHeaderLayoutMatchesDeclaration pins the declared widths
 // against the real header sizes and offsets used by the encoders.
 var HeaderFields = map[string][]string{
-	"trace": {"magic:pt", "version:u8"},
 	"llc": {
 		"magic:pl", "version:u8", "instructions:u64",
 		"l1.accesses:u64", "l1.hits:u64", "l1.misses:u64", "l1.evictions:u64", "l1.writebacks:u64",
 		"l2.accesses:u64", "l2.hits:u64", "l2.misses:u64", "l2.evictions:u64", "l2.writebacks:u64",
 	},
 	// The container's fixed-width bytes are split across the two ends of
-	// the file: a 5-byte header up front (kind is 't' or 'l', naming the
-	// inner event stream; inner.version is that stream's FormatVersions
+	// the file: a 5-byte header up front (kind is 'l', naming the inner
+	// LLC-visible event stream; inner.version is that stream's FormatVersions
 	// entry at record time) and a 20-byte trailer at EOF that locates the
 	// footer frames (stats/index/meta) so readers can seek without
 	// scanning. Everything between is length-prefixed frames, fingerprinted
@@ -67,26 +63,19 @@ var HeaderFields = map[string][]string{
 	},
 }
 
-// Stream magics: 'p' plus one stream letter.
+// Stream magics: 'p' plus one stream letter. The letter 't' is retired
+// (it named the full pre-L1 stream, which is no longer recorded); do not
+// reuse it, so old bytes keep failing with a named magic or kind error.
 const (
 	magic0          byte = 'p'
-	magicTrace1     byte = 't'
 	magicLLC1       byte = 'l'
 	magicContainer1 byte = 'c'
 )
 
-// Container kinds: the inner event stream a container holds. The kind
-// byte reuses the inner stream's magic letter so `popttrace info` output
-// and hexdumps read the same way.
-const (
-	// KindTrace marks a container of full pre-L1 stream chunks.
-	KindTrace byte = magicTrace1
-	// KindLLC marks a container of LLC-visible stream chunks.
-	KindLLC byte = magicLLC1
-)
-
-// traceHeaderLen is the full-stream header size: magic (2) + version (1).
-const traceHeaderLen = 3
+// KindLLC is the container kind of LLC-visible stream chunks, the only
+// inner stream a container holds. The kind byte reuses the inner stream's
+// magic letter so `popttrace info` output and hexdumps read the same way.
+const KindLLC byte = magicLLC1
 
 // llcHeaderLen is the LLC-stream header size: magic (2) + version (1) +
 // instructions (8) + two cache.Stats blocks of five u64 counters each.
@@ -104,16 +93,8 @@ const containerHeaderLen = 5
 // seek here first, so it is fixed-width and last.
 const containerTrailerLen = 20
 
-// badTraceHeader panics on a full-stream header mismatch. Out of line so
-// the replay hot loops stay escape-free, like badOp.
-//
-//go:noinline
-func badTraceHeader(m0, m1, v byte) {
-	panic(fmt.Sprintf("trace: bad stream header % x (want magic %c%c version %d); re-record the trace or decode it with DecodeTrace",
-		[]byte{m0, m1, v}, magic0, magicTrace1, TraceFormatVersion))
-}
-
-// badLLCHeader panics on an LLC-stream header mismatch.
+// badLLCHeader panics on an LLC-stream header mismatch. Out of line so
+// the replay hot loop stays escape-free, like badOp.
 //
 //go:noinline
 func badLLCHeader(m0, m1, v byte) {

@@ -15,34 +15,6 @@ import (
 // boundaries (bare header, unknown opcode, dangling varint), so mutation
 // starts from well-formed structure instead of noise.
 
-func FuzzDecodeTrace(f *testing.F) {
-	enc := NewEncoder()
-	enc.Tick(700)
-	enc.Access(mem.Access{Addr: 1 << 30, PC: 2})                    // inline PC, merged tick
-	enc.Access(mem.Access{Addr: 1<<30 + 64, PC: 300, Write: true})  // escaped PC
-	enc.SetVertex(41)
-	enc.StartIteration()
-	enc.SetTile(7)
-	enc.Mute()
-	enc.Tick(3)
-	enc.Unmute()
-	enc.Access(mem.Access{Addr: 12, PC: 0})
-	f.Add(enc.Trace().Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{magic0, magicTrace1, TraceFormatVersion})
-	f.Add([]byte{magic0, magicTrace1, TraceFormatVersion, 0x0b})
-	f.Add([]byte{magic0, magicTrace1, TraceFormatVersion, opSetTile, 0x80})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeTrace(data)
-		if err != nil {
-			return
-		}
-		// A stream the decoder accepted must replay without tripping the
-		// hot path's corruption panics.
-		tr.Replay(&recordSink{})
-	})
-}
-
 func FuzzDecodeLLCTrace(f *testing.F) {
 	enc := NewLLCEncoder()
 	enc.LLCAccess(mem.Access{Addr: 1 << 22, PC: 1})
@@ -69,25 +41,18 @@ func FuzzDecodeLLCTrace(f *testing.F) {
 }
 
 // FuzzReadContainer holds the container reader to the decoder contract on
-// arbitrary bytes: OpenContainer, Verify, and the replay paths must
-// return errors on damage — truncated footers, corrupt CRCs, index/frame
-// disagreements — and must never panic. Seeds are real containers of both
-// kinds (small chunks, so mutation hits frame machinery, not just event
-// bytes) plus targeted corruptions of the fixed trailer.
+// arbitrary bytes: OpenContainer, Verify, and ReplayLLC must return errors
+// on damage — truncated footers, corrupt CRCs, index/frame disagreements
+// — and must never panic. Seeds are real containers (small chunks, so
+// mutation hits frame machinery, not just event bytes) plus targeted
+// corruptions of the fixed trailer.
 func FuzzReadContainer(f *testing.F) {
 	meta := Meta{Workload: "fuzz", Schedule: "pull", Scale: "tiny", Seed: 1}
 
-	enc := NewEncoder()
-	enc.Tick(9)
-	enc.Access(mem.Access{Addr: 1 << 28, PC: 2})
-	enc.Access(mem.Access{Addr: 1<<28 + 64, PC: 500, Write: true})
-	enc.SetVertex(13)
-	enc.StartIteration()
-	enc.Mute()
-	enc.Unmute()
-	enc.SetTile(3)
-	var tbuf bytes.Buffer
-	if err := WriteTraceContainer(enc.Trace(), &tbuf, meta, 16); err != nil {
+	// A random stream over many chunks, and a hand-built one covering
+	// every opcode with inline and escaped PCs.
+	var rbuf bytes.Buffer
+	if err := WriteLLCContainer(encodeRandomLLCStream(4, 40), &rbuf, meta, 16); err != nil {
 		f.Fatal(err)
 	}
 
@@ -103,11 +68,11 @@ func FuzzReadContainer(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Add(tbuf.Bytes())
+	f.Add(rbuf.Bytes())
 	f.Add(lbuf.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte{magic0, magicContainer1, ContainerFormatVersion, KindTrace, TraceFormatVersion})
-	f.Add(tbuf.Bytes()[:tbuf.Len()-containerTrailerLen+3]) // truncated trailer
+	f.Add([]byte{magic0, magicContainer1, ContainerFormatVersion, KindLLC, LLCFormatVersion})
+	f.Add(rbuf.Bytes()[:rbuf.Len()-containerTrailerLen+3]) // truncated trailer
 	flip := func(src []byte, at int) []byte {
 		m := append([]byte{}, src...)
 		m[at] ^= 0xff
@@ -115,7 +80,7 @@ func FuzzReadContainer(f *testing.F) {
 	}
 	f.Add(flip(lbuf.Bytes(), lbuf.Len()-containerTrailerLen)) // footer offset
 	f.Add(flip(lbuf.Bytes(), containerHeaderLen+2))           // chunk frame header
-	f.Add(flip(tbuf.Bytes(), tbuf.Len()/2))                   // mid-stream
+	f.Add(flip(rbuf.Bytes(), rbuf.Len()/2))                   // mid-stream
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := OpenContainer(bytes.NewReader(data), int64(len(data)))
@@ -125,12 +90,7 @@ func FuzzReadContainer(f *testing.F) {
 		// Whatever Open accepted must verify and replay without panicking;
 		// errors are fine (chunk damage is caught lazily).
 		_ = r.Verify()
-		switch r.Kind() {
-		case KindTrace:
-			_ = r.ReplayTrace(&recordSink{}, ReplayOptions{})
-		case KindLLC:
-			sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-			_ = r.ReplayLLC(sim, ReplayOptions{Workers: 2, Window: 2})
-		}
+		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+		_ = r.ReplayLLC(sim, ReplayOptions{Workers: 2, Window: 2})
 	})
 }

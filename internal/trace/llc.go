@@ -24,13 +24,13 @@ import (
 // and ride in the trace header instead of the event stream.
 
 // LLC-stream opcodes, in the low nibble of the first byte. Access events
-// carry the PC in the high nibble exactly like the full-stream format
-// (hi = PC+1, pcEscape = explicit uvarint PC).
+// carry the PC in the high nibble (hi = PC+1, pcEscape = explicit uvarint
+// PC; see varint.go).
 const (
-	lopAccessR byte = iota + 1 // [hi: PC+1 | escape] zigzag delta address
-	lopAccessW                 // [hi: PC+1 | escape] zigzag delta address
-	lopWB                      // zigzag delta line address
-	lopSetVertex               // zigzag delta vertex
+	lopAccessR   byte = iota + 1 // [hi: PC+1 | escape] zigzag delta address
+	lopAccessW                   // [hi: PC+1 | escape] zigzag delta address
+	lopWB                        // zigzag delta line address
+	lopSetVertex                 // zigzag delta vertex
 	lopStartIteration
 	lopSetTile // uvarint tile
 )
@@ -58,8 +58,8 @@ func (s LLCStats) Events() uint64 {
 // into two observation points at once: as the hierarchy's Tap it sees
 // LLC accesses and writebacks, and as a Sink (teed behind the live Sim)
 // it sees the hook events that must stay ordered relative to them. The
-// Sink-side Access/Tick/Mute events carry no LLC-visible information and
-// are dropped — their one consumer, the instruction counter, is a total
+// Sink-side Access/Tick events carry no LLC-visible information and are
+// dropped — their one consumer, the instruction counter, is a total
 // the finished trace copies from the recording Sim.
 type LLCEncoder struct {
 	Nop
@@ -69,11 +69,14 @@ type LLCEncoder struct {
 	lastV  graph.V
 	stats  LLCStats
 
-	// Chunked mode (NewChunkedLLCEncoder); see Encoder's chunk fields.
+	// Chunked mode (NewChunkedLLCEncoder): buf holds one headerless chunk
+	// payload that flushes to cw at the first event boundary past the
+	// byte target, with delta state reset so every chunk decodes
+	// independently. Nil cw (the in-memory form) skips all of it.
 	cw              *ContainerWriter
 	chunkBytes      int
-	chunkStartEvnts uint64
-	chunkFirstPC    uint64
+	chunkStartEvnts uint64 // stats.Events() snapshot at chunk start
+	chunkFirstPC    uint64 // first access PC in the chunk + 1; 0 = none
 }
 
 // NewLLCEncoder returns an empty LLC-stream encoder. The fixed-width
@@ -83,7 +86,7 @@ type LLCEncoder struct {
 func NewLLCEncoder() *LLCEncoder {
 	// chunkBytes is a sentinel no buffer reaches, so the hot per-event
 	// chunk check is one compare with no chunked/in-memory branch.
-	e := &LLCEncoder{buf: make([]byte, llcHeaderLen, 64 << 10), chunkBytes: math.MaxInt}
+	e := &LLCEncoder{buf: make([]byte, llcHeaderLen, 64<<10), chunkBytes: math.MaxInt}
 	e.buf[0], e.buf[1], e.buf[2] = magic0, magicLLC1, LLCFormatVersion
 	return e
 }
@@ -118,8 +121,9 @@ func (e *LLCEncoder) maybeChunk() {
 	}
 }
 
-// flushChunk emits the pending chunk frame and resets the per-chunk delta
-// state; see Encoder.flushChunk.
+// flushChunk emits the pending chunk frame and resets the delta state the
+// next chunk must not depend on. Out of line: it runs once per ~64K
+// events and its frame writes must not burden the per-event encoders.
 //
 //go:noinline
 func (e *LLCEncoder) flushChunk() {
@@ -449,7 +453,9 @@ func flushProbes(h *cache.Hierarchy, llc *cache.Level, batch *[cache.BatchMax]ca
 }
 
 // checkLLCHeader validates the LLC-stream header and returns the index of
-// the first event byte; see checkTraceHeader.
+// the first event byte. Mismatches panic out of line; replays of
+// untrusted bytes go through DecodeLLCTrace, which rejects them with an
+// error before this hot path ever runs.
 //
 //popt:hot
 func checkLLCHeader(data []byte) int {

@@ -80,13 +80,6 @@ func (s *Sim) SetTile(t int) {
 	}
 }
 
-// Mute implements Sink; the emitter suppresses muted traffic, so the live
-// sink has nothing to do at the boundary.
-func (s *Sim) Mute() {}
-
-// Unmute implements Sink.
-func (s *Sim) Unmute() {}
-
 // Tick implements Sink: account n non-memory instructions.
 //
 //popt:hot

@@ -7,7 +7,7 @@ import (
 
 // Tee fans every event out to each sink in order. The sweep engine uses it
 // to piggyback recording on the first live cell of a (workload, schedule):
-// the cell's Sim and an Encoder both see the one emitted stream.
+// the cell's Sim and an LLCEncoder both see the one emitted stream.
 type Tee struct {
 	sinks []Sink
 }
@@ -46,20 +46,6 @@ func (t *Tee) StartIteration() {
 func (t *Tee) SetTile(tile int) {
 	for _, s := range t.sinks {
 		s.SetTile(tile)
-	}
-}
-
-// Mute implements Sink.
-func (t *Tee) Mute() {
-	for _, s := range t.sinks {
-		s.Mute()
-	}
-}
-
-// Unmute implements Sink.
-func (t *Tee) Unmute() {
-	for _, s := range t.sinks {
-		s.Unmute()
 	}
 }
 

@@ -1,13 +1,15 @@
-// Package trace makes the simulator's memory reference stream a
-// first-class, replayable artifact. The paper's evaluation is
-// trace-driven: Pin captures each kernel's reference stream once and every
-// replacement policy replays the same stream. This package provides the
+// Package trace makes the simulator's LLC reference stream a first-class,
+// replayable artifact. The paper's evaluation is trace-driven: Pin
+// captures the reference stream the LLC observes once and every
+// replacement policy replays that one stream. This package provides the
 // equivalent plumbing: kernels emit a typed event stream (memory accesses,
 // outer-loop progress for the update_index instruction, iteration and tile
-// boundaries, mute markers for rounds excluded from sampling) into a Sink;
-// the live cache simulation is one sink (Sim), a compact varint/delta
-// encoder is another (Encoder), and an encoded Trace replays into any sink
-// so a stream captured once can drive an entire policy zoo.
+// boundaries, instruction ticks) into a Sink; the live cache simulation is
+// one sink (Sim), and an LLCEncoder teed behind it records the LLC-visible
+// stream — the demand accesses that miss L2, the writebacks they push
+// down, and the hook events between them. An encoded LLCTrace (or its
+// chunked on-disk container) replays into any LLC policy setup, so a
+// stream captured once drives an entire policy zoo.
 package trace
 
 import (
@@ -28,9 +30,6 @@ import (
 //   - StartIteration: a fresh pass over the vertices begins (P-OPT's
 //     streaming engine re-fetches the first Rereference Matrix column).
 //   - SetTile: a CSR-segmented kernel moved to another tile.
-//   - Mute/Unmute: the kernel entered/left a round excluded from detailed
-//     simulation (direction-switching sparse rounds); no Access, SetVertex,
-//     StartIteration, or Tick events arrive while muted.
 //   - Tick: n non-memory instructions retired (the MPKI denominator,
 //     together with one instruction per Access).
 type Sink interface {
@@ -38,8 +37,6 @@ type Sink interface {
 	SetVertex(v graph.V)
 	StartIteration()
 	SetTile(t int)
-	Mute()
-	Unmute()
 	Tick(n uint64)
 }
 
@@ -59,12 +56,6 @@ func (Nop) StartIteration() {}
 
 // SetTile implements Sink.
 func (Nop) SetTile(int) {}
-
-// Mute implements Sink.
-func (Nop) Mute() {}
-
-// Unmute implements Sink.
-func (Nop) Unmute() {}
 
 // Tick implements Sink.
 func (Nop) Tick(uint64) {}

@@ -26,102 +26,64 @@ func (r *recordSink) Access(acc mem.Access) { r.evs = append(r.evs, ev{op: "acce
 func (r *recordSink) SetVertex(v graph.V)   { r.evs = append(r.evs, ev{op: "vertex", v: v}) }
 func (r *recordSink) StartIteration()       { r.evs = append(r.evs, ev{op: "iter"}) }
 func (r *recordSink) SetTile(t int)         { r.evs = append(r.evs, ev{op: "tile", tile: t}) }
-func (r *recordSink) Mute()                 { r.evs = append(r.evs, ev{op: "mute"}) }
-func (r *recordSink) Unmute()               { r.evs = append(r.evs, ev{op: "unmute"}) }
 func (r *recordSink) Tick(n uint64)         { r.evs = append(r.evs, ev{op: "tick", n: n}) }
 
-// coalesceTicks merges adjacent tick events and drops zero-instruction
-// ticks, mirroring the encoder's only lossy-in-shape (but
-// total-preserving) transforms.
-func coalesceTicks(evs []ev) []ev {
-	var out []ev
-	for _, e := range evs {
-		if e.op == "tick" {
-			if len(out) > 0 && out[len(out)-1].op == "tick" {
-				out[len(out)-1].n += e.n
-				continue
-			}
-			if e.n == 0 {
-				continue
-			}
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// emit delivers e to s.
-func emit(s Sink, e ev) {
-	switch e.op {
-	case "access":
-		s.Access(e.acc)
-	case "vertex":
-		s.SetVertex(e.v)
-	case "iter":
-		s.StartIteration()
-	case "tile":
-		s.SetTile(e.tile)
-	case "mute":
-		s.Mute()
-	case "unmute":
-		s.Unmute()
-	case "tick":
-		s.Tick(e.n)
-	}
-}
-
-// TestEncoderRoundTrip drives pseudo-random event streams through the
-// encoder and checks the replayed stream is the original with adjacent
-// ticks coalesced. Addresses span the full uint64 range (delta encoding
-// must survive wraparound) and PCs exceed the slot count (collisions must
-// only cost size, never correctness).
+// TestEncoderRoundTrip drives pseudo-random LLC-visible event streams
+// through the encoder and checks the decoded probe and hook-mark
+// sequences are exactly the ones fed in. Addresses span the full uint64
+// range (delta encoding must survive wraparound) and PCs exceed the slot
+// count (collisions must only cost size, never correctness).
 func TestEncoderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		var evs []ev
+		enc := NewLLCEncoder()
+		var probes []cache.Probe
+		var marks []llcMark
 		n := 1 + rng.Intn(2000)
 		for i := 0; i < n; i++ {
 			switch rng.Intn(10) {
 			case 0:
-				evs = append(evs, ev{op: "vertex", v: graph.V(rng.Uint32())})
+				v := graph.V(rng.Uint32())
+				enc.SetVertex(v)
+				marks = append(marks, llcMark{pos: len(probes), kind: lopSetVertex, val: int64(v)})
 			case 1:
-				evs = append(evs, ev{op: "iter"})
+				enc.StartIteration()
+				marks = append(marks, llcMark{pos: len(probes), kind: lopStartIteration})
 			case 2:
-				evs = append(evs, ev{op: "tile", tile: rng.Intn(64)})
+				tl := rng.Intn(64)
+				enc.SetTile(tl)
+				marks = append(marks, llcMark{pos: len(probes), kind: lopSetTile, val: int64(tl)})
 			case 3:
-				evs = append(evs, ev{op: "mute"}, ev{op: "unmute"})
-			case 4, 5:
-				evs = append(evs, ev{op: "tick", n: uint64(rng.Intn(1000))})
+				line := rng.Uint64()
+				enc.LLCWriteback(line)
+				probes = append(probes, cache.Probe{Addr: line, Kind: cache.ProbeWB})
 			default:
-				evs = append(evs, ev{op: "access", acc: mem.Access{
-					Addr:  rng.Uint64(),
-					PC:    uint16(rng.Intn(1 << 16)),
-					Write: rng.Intn(2) == 0,
-				}})
+				acc := mem.Access{Addr: rng.Uint64(), PC: uint16(rng.Intn(1 << 16)), Write: rng.Intn(2) == 0}
+				enc.LLCAccess(acc)
+				kind := cache.ProbeRead
+				if acc.Write {
+					kind = cache.ProbeWrite
+				}
+				probes = append(probes, cache.Probe{Addr: acc.Addr, PC: acc.PC, Kind: kind})
 			}
 		}
-		enc := NewEncoder()
-		for _, e := range evs {
-			emit(enc, e)
-		}
-		tr := enc.Trace()
-		got := &recordSink{}
-		tr.Replay(got)
-		want := coalesceTicks(evs)
-		if !reflect.DeepEqual(got.evs, want) {
-			t.Fatalf("trial %d: round trip diverged (%d events in, %d out)", trial, len(want), len(got.evs))
+		tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
+		gotProbes, gotMarks := decodeLLCChunkEvents(tr.Bytes()[llcHeaderLen:], nil)
+		if !reflect.DeepEqual(gotProbes, probes) || !reflect.DeepEqual(gotMarks, marks) {
+			t.Fatalf("trial %d: round trip diverged (%d probes/%d marks in, %d/%d out)",
+				trial, len(probes), len(marks), len(gotProbes), len(gotMarks))
 		}
 	}
 }
 
 // TestEncoderDeltaLocality pins the compression property the format exists
-// for: a strided same-PC walk must encode in ~2 bytes/event.
+// for: a line-strided same-PC walk must encode in ~3 bytes/event.
 func TestEncoderDeltaLocality(t *testing.T) {
-	enc := NewEncoder()
+	enc := NewLLCEncoder()
 	for i := 0; i < 10000; i++ {
-		enc.Access(mem.Access{Addr: 1 << 30 * uint64(1) + uint64(i)*4, PC: 3})
+		enc.LLCAccess(mem.Access{Addr: 1<<30 + uint64(i)*mem.LineSize, PC: 3})
 	}
-	tr := enc.Trace()
+	tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
 	if bpe := tr.BytesPerEvent(); bpe > 3.5 {
 		t.Errorf("sequential walk encodes at %.2f bytes/event, want <= 3.5", bpe)
 	}
@@ -130,42 +92,47 @@ func TestEncoderDeltaLocality(t *testing.T) {
 	}
 }
 
-// TestTraceReplayIsRepeatable checks a Trace carries no mutable decode
-// state: two replays must deliver identical streams.
+// TestTraceReplayIsRepeatable checks an LLCTrace carries no mutable decode
+// state: two replays into fresh sims must land on identical counters and
+// deliver the same hook events.
 func TestTraceReplayIsRepeatable(t *testing.T) {
-	enc := NewEncoder()
-	enc.SetVertex(41)
-	enc.Access(mem.Access{Addr: 123456, PC: 9})
-	enc.Tick(7)
-	enc.Access(mem.Access{Addr: 123520, PC: 9, Write: true})
-	tr := enc.Trace()
-	a, b := &recordSink{}, &recordSink{}
-	tr.Replay(a)
-	tr.Replay(b)
-	if !reflect.DeepEqual(a.evs, b.evs) {
-		t.Fatal("two replays of one trace diverged")
+	tr := encodeRandomLLCStream(3, 500)
+	replay := func() (llcCounters, int) {
+		hook := &countingHook{}
+		sim := NewSim(cache.NewHierarchy(tinyConfig()), hook)
+		tr.Replay(sim)
+		return countersOf(sim), hook.updates
 	}
-	if len(a.evs) != 4 {
-		t.Fatalf("replay delivered %d events, want 4", len(a.evs))
+	a, ahook := replay()
+	b, bhook := replay()
+	if a != b || ahook != bhook {
+		t.Fatalf("two replays of one trace diverged: %+v (%d hooks) vs %+v (%d hooks)", a, ahook, b, bhook)
+	}
+	// A hook without epochs sees each StartIteration as progress to
+	// vertex 0 (see Sim.StartIteration).
+	st := tr.Stats()
+	if want := int(st.VertexUpdates + st.Iterations); ahook != want {
+		t.Fatalf("replay delivered %d vertex updates, trace holds %d", ahook, want)
 	}
 }
 
-// TestStatsEvents checks the event total matches a hand count.
+// TestStatsEvents checks the event total matches a hand count, and that
+// the Sink-side Access/Tick events the encoder drops are not counted.
 func TestStatsEvents(t *testing.T) {
-	enc := NewEncoder()
-	enc.Access(mem.Access{Addr: 1, PC: 1})
+	enc := NewLLCEncoder()
+	enc.LLCAccess(mem.Access{Addr: 1, PC: 1, Write: true})
+	enc.LLCWriteback(64)
 	enc.SetVertex(1)
 	enc.StartIteration()
 	enc.SetTile(2)
-	enc.Mute()
-	enc.Unmute()
+	enc.Access(mem.Access{Addr: 2, PC: 1})
 	enc.Tick(5)
-	tr := enc.Trace()
-	if got := tr.Stats().Events(); got != 7 {
-		t.Errorf("Events() = %d, want 7", got)
+	st := enc.Trace(0, cache.Stats{}, cache.Stats{}).Stats()
+	if got := st.Events(); got != 5 {
+		t.Errorf("Events() = %d, want 5", got)
 	}
-	if tr.Stats().TickedInstrs != 5 {
-		t.Errorf("TickedInstrs = %d, want 5", tr.Stats().TickedInstrs)
+	if st.Writes != 1 || st.Writebacks != 1 {
+		t.Errorf("Writes = %d, Writebacks = %d, want 1 and 1", st.Writes, st.Writebacks)
 	}
 }
 

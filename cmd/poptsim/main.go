@@ -31,7 +31,7 @@ func main() {
 	scale := flag.String("scale", "default", "input scale: tiny, default, large")
 	seed := flag.Int64("seed", 42, "generator seed")
 	check := flag.Bool("check", false, "wrap the LLC policy in a runtime contract checker (panics on Policy-contract violations)")
-	dumptrace := flag.Bool("dumptrace", false, "record the run's LLC-visible reference stream and print its event counts and encoded size")
+	dumptrace := flag.Bool("dumptrace", false, "record the run's LLC-visible reference stream into an in-memory container and print its event counts and encoded event bytes")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit (go tool pprof)")
 	flag.Parse()
@@ -107,7 +107,7 @@ func main() {
 }
 
 // dumpTrace prints the recorded LLC-visible stream's composition and
-// encoding density.
+// encoding density (chunk payload bytes per event).
 func dumpTrace(tr *trace.LLCTrace) {
 	st := tr.Stats()
 	fmt.Printf("llc trace: %d events in %d bytes (%.2f bytes/event)\n",

@@ -85,16 +85,13 @@ type streamKey struct {
 // instantiate policies. The LLC form is valid for any cell whose L1/L2
 // shape matches the recorder's — within one experiment only fig16 varies
 // the cache at all, and it varies just the LLC, which the stream does not
-// depend on. With a corpus configured the stream lives on disk as a
-// container entry (ent); otherwise it stays in memory (tr). Exactly one
-// of the two is set after once fires.
+// depend on. The stream is a container either way: a corpus entry's when
+// a corpus is configured, an in-memory recording's otherwise.
 //
 //popt:frozen
 type streamEntry struct {
 	once sync.Once
-	w    *kernels.Workload //popt:guardedby once
-	tr   *trace.LLCTrace   //popt:guardedby once
-	ent  *corpus.Entry     //popt:guardedby once
+	h    streamHandle //popt:guardedby once
 }
 
 func newArtifacts() *artifacts {
@@ -191,19 +188,18 @@ func (c Config) StreamKey(g *graph.Graph, name string) corpus.Key {
 	}
 }
 
-// streamHandle is a recorded stream in whichever form it exists: a corpus
-// entry (out-of-core container replay) or an in-memory LLC trace.
+// streamHandle is a recorded stream ready to replay: the consumed
+// workload that produced it and the container reader over the stream.
 type streamHandle struct {
-	w   *kernels.Workload
-	tr  *trace.LLCTrace
-	ent *corpus.Entry
+	w *kernels.Workload
+	r *trace.Reader
 }
 
 // recordOrOpen produces the stream for (g, name), preferring the corpus:
 // a warm corpus entry is opened and setup s replayed from it (no record
 // phase at all — the acceptance contract for cross-process reuse); a cold
 // corpus records through the chunked container encoder and publishes; no
-// corpus records in memory as before. The returned handle replays the
+// corpus records the same container into memory. The returned handle replays the
 // same stream into any later setup via replayStream. build may be called
 // more than once (each call must be deterministic): a failed corpus
 // publication consumes its workload mid-record, so the in-memory fallback
@@ -212,18 +208,15 @@ func (c Config) recordOrOpen(g *graph.Graph, name string, build func() *kernels.
 	if c.Corpus != nil {
 		key := c.StreamKey(g, name)
 		if ent := c.Corpus.Lookup(key); ent != nil {
-			w := build()
-			start := c.phaseStart()
-			res := ReplayLLCEntry(c, w, ent, s)
-			c.phaseDone(g.Name+"/"+name+"/"+s.Name, "replay", start)
-			return res, streamHandle{w: w, ent: ent}
+			h := streamHandle{w: build(), r: ent.Reader()}
+			return c.replayStream(g, name, h, s), h
 		}
 		w := build()
 		start := c.phaseStart()
 		res, ent, err := RecordLLCToCorpus(c, w, s, key)
 		if err == nil {
 			c.phaseDone(g.Name+"/"+name, "record", start)
-			return res, streamHandle{w: w, ent: ent}
+			return res, streamHandle{w: w, r: ent.Reader()}
 		}
 		// Publication failed (full disk, permissions): fall through and
 		// record in memory — sweep results do not depend on the corpus,
@@ -233,18 +226,13 @@ func (c Config) recordOrOpen(g *graph.Graph, name string, build func() *kernels.
 	start := c.phaseStart()
 	res, tr := RecordLLC(c, w, s)
 	c.phaseDone(g.Name+"/"+name, "record", start)
-	return res, streamHandle{w: w, tr: tr}
+	return res, streamHandle{w: w, r: tr.Reader()}
 }
 
 // replayStream feeds the handle's stream into setup s.
 func (c Config) replayStream(g *graph.Graph, name string, h streamHandle, s Setup) Result {
 	start := c.phaseStart()
-	var res Result
-	if h.ent != nil {
-		res = ReplayLLCEntry(c, h.w, h.ent, s)
-	} else {
-		res = ReplayLLC(c, h.w, h.tr, s)
-	}
+	res := replayReader(c, h.w, h.r, s)
 	c.phaseDone(g.Name+"/"+name+"/"+s.Name, "replay", start)
 	return res
 }
@@ -271,13 +259,13 @@ func (c Config) runStream(g *graph.Graph, name string, build func(g *graph.Graph
 	var first *Result
 	e.once.Do(func() {
 		res, h := c.recordOrOpen(g, name, func() *kernels.Workload { return build(g) }, s)
-		e.w, e.tr, e.ent = h.w, h.tr, h.ent
+		e.h = h
 		first = &res
 	})
 	if first != nil {
 		return *first
 	}
-	return c.replayStream(g, name, streamHandle{w: e.w, tr: e.tr, ent: e.ent}, s)
+	return c.replayStream(g, name, e.h, s)
 }
 
 // runSetups simulates several setups of one cell against a single stream
@@ -322,4 +310,3 @@ func (c Config) buildTOPT(refAdj *graph.Adj, arrs ...*mem.Array) *core.TOPT {
 	}
 	return core.NewTOPT(streams...)
 }
-

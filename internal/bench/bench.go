@@ -357,12 +357,17 @@ func buildCell(c Config, w *kernels.Workload, s Setup) builtCell {
 func (b builtCell) sim() *trace.Sim { return trace.NewSim(b.h, b.hook) }
 
 // finish packages the cell's state after its stream has been consumed.
+// Experiments keep every cell's Result until their report is assembled, and
+// only its counters are read, so the LLC policy is released here: peak
+// memory then stops depending on how many policies' state happens to be
+// live when the garbage collector runs.
 func (b builtCell) finish(sim *trace.Sim) Result {
 	res := Result{Policy: b.name, H: b.h, Instructions: sim.Instructions, Reserved: b.reserve}
 	if p, ok := b.rawPol.(*core.POPT); ok {
 		res.Streamed = p.BytesStreamed
 		res.TieRate = p.TieRate()
 	}
+	b.h.LLC.ReleasePolicy()
 	return res
 }
 
@@ -379,18 +384,36 @@ func RunWorkload(c Config, w *kernels.Workload, s Setup) Result {
 // RecordLLC simulates one (workload, setup) pair live while recording the
 // LLC-visible stream — the paper's own trace form: the demand accesses
 // that miss L2, the writebacks they push down, and the hook events
-// between them. L1/L2 run fixed Bit-PLRU and are never back-invalidated,
-// so this stream (and the instruction and L1/L2 statistic totals riding
-// in the trace) is identical under every LLC policy; ReplayLLC feeds it
-// to any other setup touching only the LLC.
+// between them — into a container held in memory. L1/L2 run fixed
+// Bit-PLRU and are never back-invalidated, so this stream (and the
+// instruction and L1/L2 statistic totals riding in the container) is
+// identical under every LLC policy; ReplayLLC feeds it to any other setup
+// touching only the LLC.
 func RecordLLC(c Config, w *kernels.Workload, s Setup) (Result, *trace.LLCTrace) {
+	var res Result
+	tr, err := trace.RecordLLCTrace(trace.DefaultChunkBytes, func(cw *trace.ContainerWriter) error {
+		var err error
+		res, err = recordLLC(c, w, s, cw)
+		return err
+	})
+	if err != nil {
+		// A bytes.Buffer never fails a write, so this is a codec bug.
+		panic(fmt.Sprintf("bench: in-memory LLC recording: %v", err))
+	}
+	return res, tr
+}
+
+// recordLLC runs (w, s) live with a chunked LLC encoder tapped onto the
+// hierarchy and teed behind the live sink, streaming the recording
+// through cw; the caller seals cw.
+func recordLLC(c Config, w *kernels.Workload, s Setup, cw *trace.ContainerWriter) (Result, error) {
 	b := buildCell(c, w, s)
 	sim := b.sim()
-	enc := trace.NewLLCEncoder()
+	enc := trace.NewChunkedLLCEncoder(cw)
 	b.h.Tap = enc
 	w.Run(kernels.NewSinkRunner(trace.NewTee(sim, enc)))
 	b.h.Tap = nil
-	return b.finish(sim), enc.Trace(sim.Instructions, b.h.L1.Stats, b.h.L2.Stats)
+	return b.finish(sim), enc.Finish(sim.Instructions, b.h.L1.Stats, b.h.L2.Stats)
 }
 
 // ReplayLLC feeds a recorded LLC-visible stream into setup s, simulating
@@ -401,28 +424,20 @@ func RecordLLC(c Config, w *kernels.Workload, s Setup) (Result, *trace.LLCTrace)
 // array layout — what Setup.Make needs); its kernel state is not run, so
 // one consumed workload can serve any number of replays.
 func ReplayLLC(c Config, w *kernels.Workload, tr *trace.LLCTrace, s Setup) Result {
-	b := buildCell(c, w, s)
-	sim := b.sim()
-	tr.Replay(sim)
-	return b.finish(sim)
+	return replayReader(c, w, tr.Reader(), s)
 }
 
 // RecordLLCToCorpus is RecordLLC's persistent form: the LLC-visible
-// stream goes through a chunked container encoder straight into the
-// corpus (never materialized in memory as one buffer), and the published
-// entry replays the same stream in this or any later process. The
-// recording run's own result is returned alongside the entry.
+// stream goes through the chunked container encoder straight into the
+// corpus, and the published entry replays the same stream in this or any
+// later process. The recording run's own result is returned alongside
+// the entry.
 func RecordLLCToCorpus(c Config, w *kernels.Workload, s Setup, key corpus.Key) (Result, *corpus.Entry, error) {
 	var res Result
 	ent, err := c.Corpus.Publish(key, trace.KindLLC, func(cw *trace.ContainerWriter) error {
-		b := buildCell(c, w, s)
-		sim := b.sim()
-		enc := trace.NewChunkedLLCEncoder(cw)
-		b.h.Tap = enc
-		w.Run(kernels.NewSinkRunner(trace.NewTee(sim, enc)))
-		b.h.Tap = nil
-		res = b.finish(sim)
-		return enc.Finish(sim.Instructions, b.h.L1.Stats, b.h.L2.Stats)
+		var err error
+		res, err = recordLLC(c, w, s, cw)
+		return err
 	})
 	if err != nil {
 		return Result{}, nil, err
@@ -431,18 +446,23 @@ func RecordLLCToCorpus(c Config, w *kernels.Workload, s Setup, key corpus.Key) (
 }
 
 // ReplayLLCEntry feeds a corpus-resident LLC stream into setup s,
-// decoding chunks out of core (resident memory stays bounded by the
-// reader's chunk window, not the stream size). Results are byte-identical
-// to ReplayLLC of the same stream: the container replay preserves the
-// probe sequence and hook-mark positions exactly.
+// decoding chunks out of core (one chunk resident at a time, not the
+// stream). Results are byte-identical to ReplayLLC of the same stream:
+// both run the one container replay.
 func ReplayLLCEntry(c Config, w *kernels.Workload, ent *corpus.Entry, s Setup) Result {
+	return replayReader(c, w, ent.Reader(), s)
+}
+
+// replayReader is the one replay behind ReplayLLC and ReplayLLCEntry.
+func replayReader(c Config, w *kernels.Workload, r *trace.Reader, s Setup) Result {
 	b := buildCell(c, w, s)
 	sim := b.sim()
-	if err := ent.Reader().ReplayLLC(sim, trace.ReplayOptions{}); err != nil {
-		// The entry was validated at open and Publish; damage appearing
-		// between open and replay is corruption mid-run, not a condition a
-		// sweep cell can recover from.
-		panic(fmt.Sprintf("bench: corpus replay of %s: %v", ent.Path, err))
+	if err := r.ReplayLLC(sim); err != nil {
+		// Chunk damage surfaces here (the first replay's scan or a CRC
+		// check): corruption of a stream the sweep already opened, not a
+		// condition a sweep cell can recover from.
+		m := r.Meta()
+		panic(fmt.Sprintf("bench: LLC replay of %s/%s: %v", m.Workload, m.Schedule, err))
 	}
 	return b.finish(sim)
 }

@@ -199,7 +199,7 @@ func BenchmarkCorpusReplay(b *testing.B) {
 	b.Run("record-inmemory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_, tr := RecordLLC(c, mk(), DRRIPSetup())
-			b.ReportMetric(float64(len(tr.Bytes())), "trace-bytes")
+			b.ReportMetric(float64(tr.Size()), "trace-bytes")
 		}
 	})
 
@@ -231,7 +231,7 @@ func BenchmarkCorpusReplay(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ReplayLLC(c, w, tr, DRRIPSetup())
 		}
-		b.ReportMetric(float64(len(tr.Bytes())), "resident-trace-bytes")
+		b.ReportMetric(float64(tr.Size()), "resident-trace-bytes")
 	})
 	b.Run("replay-corpus", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -16,7 +16,6 @@ import (
 // building it costs one suite construction and no simulation.
 func MemStats(c Config) *Report {
 	lay := c.Layout.Resolve(c.Scale)
-	workers := trace.DefaultReplayWorkers()
 	rep := &Report{
 		ID:    "memstats",
 		Title: fmt.Sprintf("resident bytes per shared artifact (scale %s, layout %s)", c.Scale, lay),
@@ -25,8 +24,8 @@ func MemStats(c Config) *Report {
 			"plain-equiv = the same adjacencies as plain CSR (8(n+1)+4m per direction);",
 			"reref = Rereference Matrix table at the paper's 8-bit default;",
 			"linerefs = merged transpose for 4 B irregular elements (T-OPT artifact).",
-			fmt.Sprintf("Corpus replay windows are bounded separately at window x chunk = %s on this host (%d workers, 2x window, %s chunks).",
-				HumanBytes(uint64(2*workers*trace.DefaultChunkBytes)), workers, HumanBytes(trace.DefaultChunkBytes)),
+			fmt.Sprintf("Corpus replays are bounded separately: one %s chunk resident per concurrent replay.",
+				HumanBytes(trace.DefaultChunkBytes)),
 		},
 		Header: []string{"graph", "vertices", "edges", "adjacency", "plain-equiv", "ratio", "reref", "linerefs"},
 	}

@@ -9,6 +9,7 @@ import (
 	"popt/internal/core"
 	"popt/internal/graph"
 	"popt/internal/kernels"
+	"popt/internal/trace"
 )
 
 // fingerprint renders every counter a Result can report, so "byte
@@ -33,9 +34,12 @@ func fingerprint(res Result) string {
 // TestReplayMatchesLiveAcrossZoo is the replay-equivalence golden: for
 // every policy in the zoo (plus the paper's P-OPT/T-OPT variants), a
 // replayed recorded stream must produce counters identical to a fresh live
-// run — on a plain kernel (PR) and on a muting, frontier-driven one
-// (Radii). The trace form is the LLC-visible stream the sweep engine uses
-// (ReplayLLC).
+// run — on a plain kernel (PR), on a muting, frontier-driven one (Radii),
+// and on a CSR-segmented one that switches tiles (PR-tiled, which also
+// runs the tile-aware P-OPT). Each kernel is recorded twice: at the
+// default chunk target and at 128-byte chunks, so SetVertex,
+// StartIteration and SetTile events straddle chunk boundaries under the
+// hooked setups.
 func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 	c := TinyConfig()
 	c.CheckPolicies = true
@@ -45,17 +49,38 @@ func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 		POPTSetup(core.InterOnly, 8, true),
 		POPTSetup(core.SingleEpoch, 8, true),
 	)
-	builders := []kernels.Builder{
-		{Name: "PR", New: kernels.NewPageRank},
-		{Name: "Radii", New: kernels.NewRadii},
-	}
 	g := graph.Uniform(1<<10, 4<<10, c.Seed)
+	seg := graph.Segment(g, 4)
+	tiledPOPT := Setup{Name: "P-OPT-tiled", Make: func(_ Config, w *kernels.Workload, cfg cache.Config) (cache.Policy, core.VertexIndexed, int) {
+		tp := core.NewTiledPOPT(seg, w.Irregular[0], core.InterIntra, 8)
+		return tp, tp, tp.ReservedWays(cfg.LLCSize / (cfg.LLCWays * 64))
+	}}
+	builders := []struct {
+		kernels.Builder
+		extra []Setup
+	}{
+		{Builder: kernels.Builder{Name: "PR", New: kernels.NewPageRank}},
+		{Builder: kernels.Builder{Name: "Radii", New: kernels.NewRadii}},
+		{Builder: kernels.Builder{Name: "PR-tiled", New: func(g *graph.Graph) *kernels.Workload {
+			return kernels.NewPageRankTiled(g, seg)
+		}}, extra: []Setup{tiledPOPT}},
+	}
 	for _, b := range builders {
-		// One recording run per kernel; LRU is arbitrary (the stream is
+		// Recording runs per kernel; LRU is arbitrary (the stream is
 		// policy-independent).
 		recWL := b.New(g)
 		_, ltr := RecordLLC(c, recWL, LRUSetup())
-		for _, s := range setups {
+		small, err := trace.RecordLLCTrace(128, func(cw *trace.ContainerWriter) error {
+			_, err := recordLLC(c, b.New(g), LRUSetup(), cw)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if small.Reader().Chunks() < 16 {
+			t.Fatalf("%s: 128-byte recording has only %d chunks", b.Name, small.Reader().Chunks())
+		}
+		for _, s := range append(setups, b.extra...) {
 			t.Run(b.Name+"/"+s.Name, func(t *testing.T) {
 				liveW := b.New(g)
 				live := fingerprint(RunWorkload(c, liveW, s))
@@ -64,6 +89,9 @@ func TestReplayMatchesLiveAcrossZoo(t *testing.T) {
 				}
 				if replayed := fingerprint(ReplayLLC(c, recWL, ltr, s)); live != replayed {
 					t.Errorf("LLC replay diverged from live:\n live:   %s\n replay: %s", live, replayed)
+				}
+				if replayed := fingerprint(ReplayLLC(c, recWL, small, s)); live != replayed {
+					t.Errorf("128-byte-chunk LLC replay diverged from live:\n live:   %s\n replay: %s", live, replayed)
 				}
 			})
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -213,6 +214,44 @@ func TestTornTempNeverVisible(t *testing.T) {
 	}
 	if err := e.Reader().Verify(); err != nil {
 		t.Fatalf("Verify after self-heal: %v", err)
+	}
+
+	// An entry recorded under an older LLC stream version (1, the retired
+	// flat form) fails to open with the named version error; Lookup
+	// treats it as a miss and the next Publish re-records it.
+	k2 := k
+	k2.Seed++
+	var old bytes.Buffer
+	cw, err := trace.NewContainerWriter(&old, trace.KindLLC, k2.Meta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := recordTestStream(cw); err != nil {
+		t.Fatal(err)
+	}
+	if err := cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	stale := old.Bytes()
+	stale[4] = 1 // the container header's inner.version byte
+	if err := os.WriteFile(filepath.Join(s.Dir(), k2.filename()), stale, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(k2); err == nil || !strings.Contains(err.Error(), "inner stream version 1") {
+		t.Fatalf("Get on a version-1 entry: %v, want the inner-version error", err)
+	}
+	if e := s.Lookup(k2); e != nil {
+		t.Fatal("Lookup accepted an entry recorded under an old stream version")
+	}
+	if _, err := s.Publish(k2, trace.KindLLC, recordTestStream); err != nil {
+		t.Fatalf("Publish over an old-version entry: %v", err)
+	}
+	e2 := s.Lookup(k2)
+	if e2 == nil {
+		t.Fatal("Lookup misses the re-recorded entry")
+	}
+	if err := e2.Reader().Verify(); err != nil {
+		t.Fatalf("Verify after re-recording: %v", err)
 	}
 }
 

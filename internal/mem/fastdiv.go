@@ -18,9 +18,9 @@ import "math/bits"
 // reciprocal does not fit in 128 bits. Powers of two need no special
 // case: M is then exactly 2^128/d and the identity still holds.
 type Divider struct {
-	d      uint64
-	mHi    uint64 // M = ceil(2^128 / d), high word
-	mLo    uint64 // ... low word (M wraps to 0 when d == 1)
+	d   uint64
+	mHi uint64 // M = ceil(2^128 / d), high word
+	mLo uint64 // ... low word (M wraps to 0 when d == 1)
 }
 
 // NewDivider precomputes the reciprocal of d. d must be nonzero.

@@ -11,8 +11,8 @@ import (
 // two (exact reciprocal), and values near 2^32 and 2^64.
 var interestingDivisors = []uint64{
 	1, 2, 3, 5, 7, 13, 64, 160, 256, 24576, 1 << 20,
-	(24 << 20) / (16 * 64),   // Table I LLC sets
-	(160 << 10) / (16 * 64),  // Scaled LLC sets
+	(24 << 20) / (16 * 64),  // Table I LLC sets
+	(160 << 10) / (16 * 64), // Scaled LLC sets
 	(1 << 32) - 1, 1 << 32, (1 << 32) + 1,
 	(1 << 63) - 25, 1 << 63, ^uint64(0),
 }

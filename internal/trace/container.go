@@ -10,8 +10,9 @@ import (
 	"popt/internal/cache"
 )
 
-// This file is the write side of the chunked on-disk trace container
-// (DESIGN.md §12) — the persistent form of the LLC-visible event stream.
+// This file is the write side of the chunked trace container (DESIGN.md
+// §12) — the one form of the LLC-visible event stream, on disk in the
+// corpus or in a byte slice for an in-memory recording.
 // A container is:
 //
 //	header   'p' 'c' version kind innerVersion        (5 bytes)
@@ -21,10 +22,10 @@ import (
 // Every frame is a marker byte plus a uvarint-described payload; chunk
 // frames carry headerless event bytes whose delta state is reset at each
 // chunk boundary, so any chunk decodes independently of the others — the
-// property the seek index, the parallel decoder, and out-of-core
-// windowed replay all rest on. The footer frames (stream statistics, the
-// chunk seek index, and the identifying metadata) come last so recording
-// is a single forward pass; readers find them through the fixed trailer.
+// property the seek index and out-of-core replay (one chunk resident at
+// a time) rest on. The footer frames (stream statistics, the chunk seek
+// index, and the identifying metadata) come last so recording is a
+// single forward pass; readers find them through the fixed trailer.
 
 // Frame markers. The block holds only the iota run: the opexhaust
 // analyzer derives the decoder's opcode universe from it.
@@ -255,9 +256,8 @@ func encodeMeta(m Meta) []byte {
 }
 
 // encodeLLCStats renders the cfStats payload of a KindLLC container: the
-// whole-stream CRC, the setup-invariant totals (instructions, L1, L2 —
-// what the in-memory form carries in its fixed header), then the LLCStats
-// counters.
+// whole-stream CRC, the setup-invariant totals (instructions, L1, L2),
+// then the LLCStats counters.
 func encodeLLCStats(s LLCStats, instructions uint64, l1, l2 cache.Stats, streamCRC uint32) []byte {
 	buf := appendUvarint(nil, uint64(streamCRC))
 	buf = appendUvarint(buf, instructions)
@@ -272,23 +272,4 @@ func encodeLLCStats(s LLCStats, instructions uint64, l1, l2 cache.Stats, streamC
 		buf = appendUvarint(buf, x)
 	}
 	return buf
-}
-
-// WriteLLCContainer re-encodes an in-memory LLC-visible stream as a
-// container on w: decoding the trace into a chunked encoder reproduces
-// the exact event sequence with fresh per-chunk delta state. Used by
-// tests and tools that hold an in-memory trace; recording paths stream
-// directly instead.
-func WriteLLCContainer(t *LLCTrace, w io.Writer, meta Meta, chunkBytes int) error {
-	cw, err := NewContainerWriter(w, KindLLC, meta)
-	if err != nil {
-		return err
-	}
-	cw.SetChunkBytes(chunkBytes)
-	enc := NewChunkedLLCEncoder(cw)
-	reencodeLLCEvents(t.data, llcHeaderLen, enc)
-	if err := enc.Finish(t.instructions, t.l1, t.l2); err != nil {
-		return err
-	}
-	return cw.Finish()
 }

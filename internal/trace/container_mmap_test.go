@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"popt/internal/cache"
@@ -23,16 +24,12 @@ func writeTempContainer(t *testing.T, data []byte) string {
 // TestContainerMappedReplay pins the zero-copy mapped window mode against
 // the pread path: the same file opened both ways (OpenContainerFile's
 // mmap, and OpenContainer over the raw file, which forces pread copies)
-// must verify clean and replay to identical counters, and the
-// bounded-window accounting must report the same high-water mark whether
-// the windows are mapped views or heap copies.
+// must verify clean and replay to identical counters, the bounded-window
+// accounting must report the same one-chunk high-water mark whether the
+// windows are mapped views or pooled heap copies, and a warm replay must
+// allocate nothing in either mode, however many chunks it walks.
 func TestContainerMappedReplay(t *testing.T) {
-	tr := encodeRandomLLCStream(11, 2000)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 512); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempContainer(t, buf.Bytes())
+	path := writeTempContainer(t, randomLLCContainer(t, 11, 2000, 512))
 
 	mapped, err := OpenContainerFile(path)
 	if err != nil {
@@ -68,18 +65,7 @@ func TestContainerMappedReplay(t *testing.T) {
 	if err := copied.Verify(); err != nil {
 		t.Fatalf("Verify (pread): %v", err)
 	}
-	// One worker and a one-chunk window: the sequential replay whose
-	// resident bound is a single chunk.
-	seq := ReplayOptions{Workers: 1, Window: 1}
-	a := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	b := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-	if err := mapped.ReplayLLC(a, seq); err != nil {
-		t.Fatalf("ReplayLLC (mapped): %v", err)
-	}
-	if err := copied.ReplayLLC(b, seq); err != nil {
-		t.Fatalf("ReplayLLC (pread): %v", err)
-	}
-	if countersOf(a) != countersOf(b) {
+	if replayCounters(t, mapped, nil) != replayCounters(t, copied, nil) {
 		t.Fatal("mapped replay diverges from the pread replay")
 	}
 	if mapped.MaxResidentBytes() != copied.MaxResidentBytes() {
@@ -87,45 +73,61 @@ func TestContainerMappedReplay(t *testing.T) {
 			mapped.MaxResidentBytes(), copied.MaxResidentBytes())
 	}
 	if mapped.MaxResidentBytes() > mapped.MaxChunkBytes() {
-		t.Fatalf("sequential replay resident %d exceeds one chunk (%d)",
+		t.Fatalf("replay resident %d exceeds one chunk (%d)",
 			mapped.MaxResidentBytes(), mapped.MaxChunkBytes())
+	}
+	if mapped.Chunks() < 8 {
+		t.Fatalf("only %d chunks; the allocation check needs a multi-chunk stream", mapped.Chunks())
+	}
+	for _, r := range []*Reader{mapped, copied} {
+		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+		if allocs := testing.AllocsPerRun(10, func() {
+			if err := r.ReplayLLC(sim); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("warm %s replay of %d chunks allocates %.0f times, want 0", r.WindowMode(), r.Chunks(), allocs)
+		}
 	}
 }
 
-// TestContainerMappedLLCParallel exercises the parallel LLC decode over
-// mapped chunk views: concurrent workers reading disjoint subslices of
-// one mapping must reproduce the pread replay counter for counter.
+// TestContainerMappedLLCParallel exercises concurrent replays over mapped
+// chunk views: goroutines replaying one Reader — as sweep cells share a
+// corpus entry — each walk the whole mapping and must reproduce the
+// in-memory replay counter for counter.
 func TestContainerMappedLLCParallel(t *testing.T) {
-	tr := encodeRandomLLCStream(13, 3000)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 512); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempContainer(t, buf.Bytes())
-	run := func(r *Reader) llcCounters {
-		sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
-		if err := r.ReplayLLC(sim, ReplayOptions{Workers: 4, Window: 3}); err != nil {
-			t.Fatalf("ReplayLLC: %v", err)
-		}
-		return countersOf(sim)
-	}
-
+	data := randomLLCContainer(t, 13, 3000, 512)
+	path := writeTempContainer(t, data)
 	mapped, err := OpenContainerFile(path)
 	if err != nil {
 		t.Fatalf("OpenContainerFile: %v", err)
 	}
 	defer mapped.Close()
-	got := run(mapped)
 
-	copied, err := OpenContainerBytes(buf.Bytes())
-	if err != nil {
-		t.Fatalf("OpenContainerBytes: %v", err)
+	inMem := openBytes(t, data)
+	if inMem.WindowMode() != "mapped" {
+		t.Fatalf("in-memory reader WindowMode = %q, want %q", inMem.WindowMode(), "mapped")
 	}
-	if copied.WindowMode() != "mapped" {
-		t.Fatalf("in-memory reader WindowMode = %q, want %q", copied.WindowMode(), "mapped")
+	want := replayCounters(t, inMem, nil)
+	var got [4]llcCounters
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sim := NewSim(cache.NewHierarchy(tinyConfig()), nil)
+			if err := mapped.ReplayLLC(sim); err != nil {
+				t.Errorf("ReplayLLC: %v", err)
+				return
+			}
+			got[i] = countersOf(sim)
+		}(i)
 	}
-	if want := run(copied); got != want {
-		t.Fatalf("mapped parallel replay %+v != in-memory replay %+v", got, want)
+	wg.Wait()
+	for i := range got {
+		if got[i] != want {
+			t.Fatalf("concurrent mapped replay %d %+v != in-memory replay %+v", i, got[i], want)
+		}
 	}
 }
 
@@ -134,13 +136,8 @@ func TestContainerMappedLLCParallel(t *testing.T) {
 // no simulation): "mapped" serves capacity-capped views of one mapping,
 // "pread" copies each chunk into a pooled heap window.
 func BenchmarkContainerWindowModes(b *testing.B) {
-	tr := encodeRandomLLCStream(7, 200_000)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 64<<10); err != nil {
-		b.Fatal(err)
-	}
 	path := filepath.Join(b.TempDir(), "bench.poptc")
-	if err := os.WriteFile(path, buf.Bytes(), 0o666); err != nil {
+	if err := os.WriteFile(path, randomLLCContainer(b, 7, 200_000, 64<<10), 0o666); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("mapped", func(b *testing.B) {
@@ -186,12 +183,8 @@ func BenchmarkContainerWindowModes(b *testing.B) {
 // releases the mapping exactly once, and a reader over a caller-owned
 // ReaderAt treats Close as a no-op.
 func TestContainerMappedClose(t *testing.T) {
-	tr := encodeRandomLLCStream(17, 200)
-	var buf bytes.Buffer
-	if err := WriteLLCContainer(tr, &buf, testMeta(), 0); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTempContainer(t, buf.Bytes())
+	data := randomLLCContainer(t, 17, 200, 0)
+	path := writeTempContainer(t, data)
 	r, err := OpenContainerFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +195,7 @@ func TestContainerMappedClose(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	plain, err := OpenContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	plain, err := OpenContainer(bytes.NewReader(data), int64(len(data)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,11 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"popt/internal/cache"
-	"popt/internal/graph"
 	"popt/internal/mem"
 )
 
@@ -21,13 +19,13 @@ import (
 // the writer and the layout comment). A Reader seeks the fixed trailer,
 // loads and validates the three footer frames, and then serves replay,
 // verification, and re-chunking out of core: chunk payloads are fetched
-// through the io.ReaderAt in index order and released as soon as they are
-// consumed, so resident trace memory is bounded by the chunk window — not
-// the stream — which is what makes paper-scale corpora replayable on
-// bounded RAM. Everything here returns errors, never panics: container
-// bytes come off disk, the untrusted side of the trust boundary drawn in
-// decode.go (each chunk payload is structurally validated by the scan
-// decoders before the panic-based hot loops touch it).
+// in index order, one at a time, and released as soon as they are
+// consumed, so resident trace memory is one chunk — not the stream —
+// which is what makes paper-scale corpora replayable on bounded RAM.
+// Everything here returns errors, never panics: container bytes come off
+// disk, the untrusted side of the trust boundary drawn in decode.go
+// (every chunk payload is structurally validated once per Reader before
+// the panic-based hot loop touches it).
 
 // frameHeader is one decoded frame header; only cfChunk frames populate
 // events and firstPC.
@@ -105,8 +103,9 @@ func parseFrameHeader(data []byte, i int) (frameHeader, int, error) {
 // Reader is an opened container: the footer frames are resident, chunk
 // payloads are not. Once OpenContainer returns, the Reader's metadata is
 // immutable, so one Reader may serve concurrent replays (the corpus
-// shares one per entry across sweep cells); only the resident-byte
-// accounting below is mutable, and it is atomic.
+// shares one per entry across sweep cells); only the once-computed
+// verdict, the pooled read windows and the atomic resident-byte
+// accounting below change afterwards.
 type Reader struct {
 	r         io.ReaderAt
 	size      int64
@@ -117,6 +116,7 @@ type Reader struct {
 	events    uint64
 	payload   int64 // total chunk payload bytes
 	maxChunk  int64 // largest single chunk payload
+	maxFrame  int64 // largest chunk frame, header included
 	streamCRC uint32
 
 	// data, when non-nil, is a zero-copy view of the whole container
@@ -132,10 +132,21 @@ type Reader struct {
 	instructions uint64
 	l1, l2       cache.Stats
 
+	// once runs Verify before the first replay or rechunk and keeps its
+	// verdict: the structural scan of every chunk happens once per
+	// Reader, while each walk still re-checks every chunk's CRC.
+	once    sync.Once
+	checked error //popt:guardedby once
+
+	// wins pools read windows for the copied (pread) mode, one per
+	// concurrent walk, each sized for the largest chunk frame, so a warm
+	// walk allocates nothing.
+	winMu sync.Mutex
+	wins  [][]byte //popt:guardedby winMu
+
 	// Out-of-core accounting: chunk payload bytes currently resident and
 	// the high-water mark, maintained by every replay/verify walk. The
-	// windowed-reader test pins maxResident << payload on multi-chunk
-	// streams.
+	// windowed-reader test pins maxResident to one chunk.
 	resident    atomic.Int64
 	maxResident atomic.Int64
 }
@@ -385,16 +396,16 @@ func (r *Reader) decodeIndex(p []byte) error {
 		if events > 2*length {
 			return fmt.Errorf("trace: container index: chunk %d claims %d events in %d bytes", c, events, length)
 		}
-		chunks = append(chunks, chunkInfo{
+		ci := chunkInfo{
 			off: int64(off), events: events, firstPC: firstPC,
 			length: length, crc: uint32(crc),
-		})
+		}
+		chunks = append(chunks, ci)
 		prevEnd = off + length
 		r.events += events
 		r.payload += int64(length)
-		if int64(length) > r.maxChunk {
-			r.maxChunk = int64(length)
-		}
+		r.maxChunk = max(r.maxChunk, int64(length))
+		r.maxFrame = max(r.maxFrame, int64(frameHeaderLen(ci))+int64(length))
 	}
 	if i != len(p) {
 		return fmt.Errorf("trace: container index frame malformed (%d bytes, consumed %d)", len(p), i)
@@ -508,79 +519,99 @@ func (r *Reader) acquire(n int64) {
 // release returns n payload bytes.
 func (r *Reader) release(n int64) { r.resident.Add(-n) }
 
-// chunkPayload reads, bounds-checks, and CRC-checks chunk c's payload,
-// charging it to the resident accounting (the caller releases it). The
-// on-disk frame header is re-parsed and cross-checked against the index
-// entry, so a container whose two copies disagree is rejected however it
-// is read. In mapped mode the returned slice is a zero-copy view of the
-// container bytes; the accounting then counts mapped window bytes, the
-// same bound with the copies removed.
-func (r *Reader) chunkPayload(c int) ([]byte, error) {
-	ci := r.chunks[c]
-	var hdr []byte
+// window returns a read window for one walk: nil in mapped mode (chunk
+// views are subslices of the mapping), else a pooled buffer that holds
+// the largest chunk frame.
+func (r *Reader) window() []byte {
 	if r.data != nil {
-		hdr = r.data[ci.off:]
+		return nil
+	}
+	r.winMu.Lock()
+	defer r.winMu.Unlock()
+	if k := len(r.wins); k > 0 {
+		w := r.wins[k-1]
+		r.wins = r.wins[:k-1]
+		return w
+	}
+	return make([]byte, r.maxFrame)
+}
+
+// putWindow returns a window taken with window.
+func (r *Reader) putWindow(w []byte) {
+	if w == nil {
+		return
+	}
+	r.winMu.Lock()
+	r.wins = append(r.wins, w)
+	r.winMu.Unlock()
+}
+
+// chunkPayload reads, bounds-checks, and CRC-checks chunk c's payload,
+// charging it to the resident accounting (the caller releases it). In
+// copied mode the frame is read into win with one pread; in mapped mode
+// the returned slice is a zero-copy view of the container bytes, and the
+// accounting counts mapped window bytes, the same bound with the copies
+// removed. The on-disk frame header is re-parsed and cross-checked
+// against the index entry, so a container whose two copies disagree is
+// rejected however it is read.
+func (r *Reader) chunkPayload(c int, win []byte) ([]byte, error) {
+	ci := r.chunks[c]
+	hl := frameHeaderLen(ci)
+	end := ci.off + int64(hl) + int64(ci.length)
+	if end > r.footerOff {
+		return nil, fmt.Errorf("trace: container chunk %d payload overruns the data region", c)
+	}
+	var f []byte
+	if r.data != nil {
+		f = r.data[ci.off:end:end]
 	} else {
-		win := r.size - ci.off
-		if win > 64 {
-			win = 64 // a frame header is at most 1 + 4 maximal uvarints = 41 bytes
-		}
-		hdr = make([]byte, win)
-		if err := readFull(r.r, hdr, ci.off); err != nil {
-			return nil, fmt.Errorf("trace: container chunk %d header: %w", c, err)
+		f = win[:end-ci.off]
+		if err := readFull(r.r, f, ci.off); err != nil {
+			return nil, fmt.Errorf("trace: container chunk %d: %w", c, err)
 		}
 	}
-	fh, j, err := parseFrameHeader(hdr, 0)
+	fh, j, err := parseFrameHeader(f, 0)
 	if err != nil {
 		return nil, fmt.Errorf("trace: container chunk %d: %w", c, err)
 	}
-	if fh.kind != cfChunk || fh.events != ci.events || fh.firstPC != ci.firstPC || fh.length != ci.length || fh.crc != ci.crc {
+	if j != hl || fh != (frameHeader{kind: cfChunk, events: ci.events, firstPC: ci.firstPC, length: ci.length, crc: ci.crc}) {
 		return nil, fmt.Errorf("trace: container chunk %d frame header disagrees with the seek index", c)
 	}
-	payloadOff := ci.off + int64(j)
-	if payloadOff+int64(ci.length) > r.footerOff {
-		return nil, fmt.Errorf("trace: container chunk %d payload overruns the data region", c)
-	}
-	r.acquire(int64(ci.length))
-	var p []byte
-	if r.data != nil {
-		p = r.data[payloadOff : payloadOff+int64(ci.length) : payloadOff+int64(ci.length)]
-	} else {
-		p = make([]byte, ci.length)
-		if err := readFull(r.r, p, payloadOff); err != nil {
-			r.release(int64(ci.length))
-			return nil, fmt.Errorf("trace: container chunk %d payload: %w", c, err)
-		}
-	}
+	p := f[hl:]
 	if crc := crc32.ChecksumIEEE(p); crc != ci.crc {
-		r.release(int64(ci.length))
 		return nil, fmt.Errorf("trace: container chunk %d CRC mismatch: stored %08x, computed %08x", c, ci.crc, crc)
 	}
+	r.acquire(int64(ci.length))
 	return p, nil
 }
 
 // Verify walks the whole container: it checks that the chunk frames tile
 // the data region exactly, re-reads every chunk (frame header vs index,
-// payload CRC, full structural scan), and cross-checks the accumulated
-// per-chunk statistics and stream CRC against the cfStats frame. A nil
-// return means every byte between header and trailer has been validated.
+// payload CRC, full structural scan, event count vs index), and
+// cross-checks the accumulated statistics and stream CRC against the
+// cfStats frame. A nil return means every byte between header and
+// trailer has been validated.
 func (r *Reader) Verify() error {
+	win := r.window()
+	defer r.putWindow(win)
 	expect := int64(containerHeaderLen)
 	var crc uint32
 	var lsum LLCStats
-	for c := range r.chunks {
-		ci := r.chunks[c]
+	for c, ci := range r.chunks {
 		if ci.off != expect {
 			return fmt.Errorf("trace: container chunk %d at offset %d, want %d (frames must tile the data region)", c, ci.off, expect)
 		}
-		p, err := r.chunkPayload(c)
+		p, err := r.chunkPayload(c, win)
 		if err != nil {
 			return err
 		}
-		s, err := scanLLCFrom(p, 0)
+		s, err := scanLLCFrom(p)
+		r.release(int64(len(p)))
 		if err != nil {
-			r.release(int64(len(p)))
 			return fmt.Errorf("trace: container chunk %d: %w", c, err)
+		}
+		if s.Events() != ci.events {
+			return fmt.Errorf("trace: container chunk %d holds %d events, the index says %d", c, s.Events(), ci.events)
 		}
 		lsum.Accesses += s.Accesses
 		lsum.Writes += s.Writes
@@ -589,11 +620,9 @@ func (r *Reader) Verify() error {
 		lsum.Iterations += s.Iterations
 		lsum.TileSwitches += s.TileSwitches
 		crc = crc32.Update(crc, crc32.IEEETable, p)
-		// The chunk frame's on-disk header length is implied by its values;
-		// recompute the end from the re-parsed header via chunkPayload's
-		// bounds, i.e. the next frame starts after header+payload.
+		// chunkPayload accepted the frame header only at its minimal
+		// length, so the next frame starts right after header+payload.
 		expect = ci.off + int64(frameHeaderLen(ci)) + int64(ci.length)
-		r.release(int64(len(p)))
 	}
 	if expect != r.footerOff {
 		return fmt.Errorf("trace: container data region ends at %d but the footer starts at %d", expect, r.footerOff)
@@ -604,14 +633,16 @@ func (r *Reader) Verify() error {
 	if lsum != r.lstats {
 		return fmt.Errorf("trace: container stats frame %+v disagrees with the scanned chunks %+v", r.lstats, lsum)
 	}
-	var sum uint64
-	for c := range r.chunks {
-		sum += r.chunks[c].events
-	}
-	if sum != r.events {
-		return fmt.Errorf("trace: container index events %d disagree with total %d", sum, r.events)
-	}
 	return nil
+}
+
+// verifyOnce runs Verify on the first call and returns its verdict on
+// every call: the hot replay decoder and the re-encoder trust chunk
+// structure only after this scan, and re-check each chunk's CRC on every
+// walk so damage appearing later is still an error.
+func (r *Reader) verifyOnce() error {
+	r.once.Do(func() { r.checked = r.Verify() })
+	return r.checked
 }
 
 // frameHeaderLen returns the encoded length of ci's chunk frame header:
@@ -630,282 +661,38 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// ReplayOptions bounds a container replay's parallelism and memory.
-type ReplayOptions struct {
-	// Workers is the number of parallel chunk decoders. Zero means
-	// min(GOMAXPROCS, 8); one forces sequential decode.
-	Workers int
-	// Window is the maximum number of chunks resident at once — the
-	// out-of-core bound. Zero means 2x Workers.
-	Window int
-}
-
-// DefaultReplayWorkers returns the worker count a zero ReplayOptions
-// resolves to on this host — min(GOMAXPROCS, 8) — so footprint reports
-// can state the default window bound (2x workers x chunk bytes) without
-// duplicating the policy.
-func DefaultReplayWorkers() int {
-	w := runtime.GOMAXPROCS(0)
-	if w > 8 {
-		w = 8
+// ReplayLLC drives sim's LLC with the container's stream and installs
+// the setup-invariant totals (instructions, L1/L2 statistics),
+// reproducing a live run counter for counter — the replay-equivalence
+// golden in internal/bench pins this across the policy zoo. Chunks are
+// walked in recorded order with one resident at a time: each payload is
+// fetched, its CRC checked, and decoded in one pass into a probe batch
+// that lives on this frame and carries across chunk boundaries. The
+// structural scan runs once per Reader (verifyOnce), before the first
+// replay. Errors abort the replay and leave sim partially advanced;
+// callers discard it.
+func (r *Reader) ReplayLLC(sim *Sim) error {
+	if err := r.verifyOnce(); err != nil {
+		return err
 	}
-	return w
-}
-
-// resolve applies the documented defaults.
-func (o ReplayOptions) resolve() (workers, window int) {
-	workers = o.Workers
-	if workers <= 0 {
-		workers = DefaultReplayWorkers()
-	}
-	window = o.Window
-	if window <= 0 {
-		window = 2 * workers
-	}
-	if window < 1 {
-		window = 1
-	}
-	return workers, window
-}
-
-// llcMark is a hook event at a position in a chunk's decoded probe
-// sequence: the feed stage delivers it (flushing the probe batch first)
-// between probes[pos-1] and probes[pos], exactly where LLCTrace.Replay
-// would.
-type llcMark struct {
-	pos  int
-	kind byte
-	val  int64
-}
-
-// llcChunk is one decoded chunk in flight between a decode worker and the
-// in-order feed stage.
-type llcChunk struct {
-	probes []cache.Probe
-	marks  []llcMark
-	bytes  int64
-	err    error
-}
-
-// ReplayLLC drives sim's LLC with a KindLLC container and installs the
-// setup-invariant totals, reproducing LLCTrace.Replay counter for counter
-// (cache.Level.AccessBatch is batching-invariant, so the different batch
-// boundaries cannot show). Chunks decode on a worker pool — each chunk's
-// delta state is self-contained — while the feed stage consumes them in
-// recorded order; the window semaphore caps chunks in flight, so peak
-// resident trace memory is O(window x chunk), not O(stream). Decode
-// errors abort the replay and leave sim partially advanced; callers
-// discard it on error.
-func (r *Reader) ReplayLLC(sim *Sim, opts ReplayOptions) error {
-	workers, window := opts.resolve()
-	nc := len(r.chunks)
-	h := sim.H
-	llc := h.LLC
-	hooked := sim.Hook != nil
+	win := r.window()
+	defer r.putWindow(win)
 	var batch [cache.BatchMax]cache.Probe
 	n := 0
-	var firstErr error
-
-	if workers <= 1 || nc <= 1 {
-		for c := 0; c < nc; c++ {
-			ck := r.decodeLLCChunk(c)
-			if ck.err != nil {
-				return ck.err
-			}
-			n = feedLLCChunk(sim, h, llc, &batch, n, &ck, hooked)
-			r.release(ck.bytes)
+	for c := range r.chunks {
+		p, err := r.chunkPayload(c, win)
+		if err != nil {
+			return err
 		}
-	} else {
-		results := make([]chan llcChunk, nc)
-		for c := range results {
-			results[c] = make(chan llcChunk, 1) // cap 1: sends never block
-		}
-		next := make(chan int)
-		done := make(chan struct{})
-		sem := make(chan struct{}, window)
-		go func() {
-			defer close(next)
-			for c := 0; c < nc; c++ {
-				select {
-				case sem <- struct{}{}: // hold a window slot before dispatch
-				case <-done:
-					return
-				}
-				select {
-				case next <- c:
-				case <-done:
-					return
-				}
-			}
-		}()
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := range next {
-					results[c] <- r.decodeLLCChunk(c)
-				}
-			}()
-		}
-		for c := 0; c < nc; c++ {
-			ck := <-results[c]
-			if ck.err != nil {
-				firstErr = ck.err
-				break
-			}
-			n = feedLLCChunk(sim, h, llc, &batch, n, &ck, hooked)
-			r.release(ck.bytes)
-			<-sem
-		}
-		close(done)
-		wg.Wait()
+		n = replayLLCChunk(sim, &batch, n, p)
+		r.release(int64(len(p)))
 	}
-	if firstErr != nil {
-		return firstErr
-	}
-	flushProbes(h, llc, &batch, n)
+	h := sim.H
+	flushProbes(h, h.LLC, &batch, n)
 	sim.Instructions += r.instructions
 	h.L1.Stats.Add(r.l1)
 	h.L2.Stats.Add(r.l2)
 	return nil
-}
-
-// decodeLLCChunk reads and fully decodes chunk c: payload fetch + CRC,
-// structural scan (so the hot decoder below never sees corrupt bytes),
-// then the concrete probe/mark decode. Runs on the worker pool; the
-// resident charge it takes is released by the feed stage.
-func (r *Reader) decodeLLCChunk(c int) llcChunk {
-	p, err := r.chunkPayload(c)
-	if err != nil {
-		return llcChunk{err: err}
-	}
-	if _, err := scanLLCFrom(p, 0); err != nil {
-		r.release(int64(len(p)))
-		return llcChunk{err: fmt.Errorf("trace: container chunk %d: %w", c, err)}
-	}
-	// Probe count <= events (every LLC event is at least one byte and none
-	// expands to two probes), so the append below never grows.
-	probes := make([]cache.Probe, 0, r.chunks[c].events)
-	probes, marks := decodeLLCChunkEvents(p, probes)
-	return llcChunk{probes: probes, marks: marks, bytes: int64(len(p))}
-}
-
-// decodeLLCChunkEvents decodes one structurally-validated chunk payload
-// into its probe sequence and hook marks. The decode arms mirror
-// LLCTrace.Replay opcode for opcode (codecpair holds them in lockstep);
-// per-chunk delta state starts at zero because the encoder reset at the
-// boundary. Allocation lives in the caller so this loop stays escape-free.
-//
-//popt:hot
-//popt:codec llc dec
-func decodeLLCChunkEvents(data []byte, probes []cache.Probe) ([]cache.Probe, []llcMark) {
-	var marks []llcMark
-	var last [pcSlots]uint64
-	var lastWB uint64
-	var lastV graph.V
-	i := 0
-	for i < len(data) {
-		b := data[i]
-		i++
-		op := b & opMask
-		switch op {
-		case lopAccessR, lopAccessW:
-			var pc uint64
-			if hi := b >> 4; hi != pcEscape {
-				pc = uint64(hi - 1)
-			} else {
-				pc, i = uvarint(data, i)
-			}
-			var d int64
-			if i < len(data) && data[i] < 0x80 {
-				ux := uint64(data[i])
-				d = int64(ux>>1) ^ -int64(ux&1)
-				i++
-			} else {
-				d, i = varint(data, i)
-			}
-			slot := uint16(pc) & pcSlotMask
-			addr := last[slot] + uint64(d)
-			last[slot] = addr
-			kind := cache.ProbeRead
-			if op == lopAccessW {
-				kind = cache.ProbeWrite
-			}
-			probes = appendProbe(probes, cache.Probe{Addr: addr, PC: uint16(pc), Kind: kind})
-		case lopWB:
-			d, nn := varint(data, i)
-			i = nn
-			lastWB += uint64(d)
-			probes = appendProbe(probes, cache.Probe{Addr: lastWB, Kind: cache.ProbeWB})
-		case lopSetVertex:
-			d, nn := varint(data, i)
-			i = nn
-			lastV = graph.V(int64(lastV) + d)
-			marks = appendMark(marks, llcMark{pos: len(probes), kind: lopSetVertex, val: int64(lastV)})
-		case lopStartIteration:
-			marks = appendMark(marks, llcMark{pos: len(probes), kind: lopStartIteration})
-		case lopSetTile:
-			tl, nn := uvarint(data, i)
-			i = nn
-			marks = appendMark(marks, llcMark{pos: len(probes), kind: lopSetTile, val: int64(tl)})
-		default:
-			badOp(op, i-1)
-		}
-	}
-	return probes, marks
-}
-
-// appendProbe and appendMark keep the decoded-event appends out of the
-// annotated decode loop: the wire-format walker reads every append inside
-// a //popt:codec function as an opcode-byte emission, and these append
-// simulator values, not wire bytes.
-func appendProbe(ps []cache.Probe, p cache.Probe) []cache.Probe { return append(ps, p) }
-
-func appendMark(ms []llcMark, m llcMark) []llcMark { return append(ms, m) }
-
-// feedLLCChunk issues one decoded chunk in recorded order through the
-// persistent probe batch, delivering hook marks at their positions exactly
-// like LLCTrace.Replay: the batch flushes before a mark only when the sim
-// actually has a hook. Returns the new batch length; the batch carries
-// across chunks so hookless replays run long batches through boundaries.
-//
-//popt:hot
-func feedLLCChunk(sim *Sim, h *cache.Hierarchy, llc *cache.Level, batch *[cache.BatchMax]cache.Probe, n int, ck *llcChunk, hooked bool) int {
-	probes := ck.probes
-	pos := 0
-	for m := range ck.marks {
-		mk := ck.marks[m]
-		for _, pr := range probes[pos:mk.pos] {
-			if n == cache.BatchMax {
-				n = flushProbes(h, llc, batch, n)
-			}
-			// The mask is a no-op (the flush above keeps n < BatchMax) that
-			// lets the compiler drop the bounds check from the feed loop.
-			batch[n&(cache.BatchMax-1)] = pr
-			n++
-		}
-		pos = mk.pos
-		if hooked {
-			n = flushProbes(h, llc, batch, n)
-			switch mk.kind {
-			case lopSetVertex:
-				sim.SetVertex(graph.V(mk.val))
-			case lopStartIteration:
-				sim.StartIteration()
-			case lopSetTile:
-				sim.SetTile(int(mk.val))
-			}
-		}
-	}
-	for _, pr := range probes[pos:] {
-		if n == cache.BatchMax {
-			n = flushProbes(h, llc, batch, n)
-		}
-		batch[n&(cache.BatchMax-1)] = pr
-		n++
-	}
-	return n
 }
 
 // Rechunk rewrites the container on w with a new chunk-size target by
@@ -916,22 +703,23 @@ func feedLLCChunk(sim *Sim, h *cache.Hierarchy, llc *cache.Level, batch *[cache.
 // containers — equivalence is checked at the event level by the rechunk
 // round-trip test.
 func (r *Reader) Rechunk(w io.Writer, chunkBytes int) error {
+	if err := r.verifyOnce(); err != nil {
+		return err
+	}
 	cw, err := NewContainerWriter(w, r.kind, r.meta)
 	if err != nil {
 		return err
 	}
 	cw.SetChunkBytes(chunkBytes)
 	enc := NewChunkedLLCEncoder(cw)
+	win := r.window()
+	defer r.putWindow(win)
 	for c := range r.chunks {
-		p, err := r.chunkPayload(c)
+		p, err := r.chunkPayload(c, win)
 		if err != nil {
 			return err
 		}
-		if _, err := scanLLCFrom(p, 0); err != nil {
-			r.release(int64(len(p)))
-			return fmt.Errorf("trace: container chunk %d: %w", c, err)
-		}
-		reencodeLLCEvents(p, 0, enc)
+		reencodeLLCEvents(p, enc)
 		r.release(int64(len(p)))
 	}
 	if err := enc.Finish(r.instructions, r.l1, r.l2); err != nil {

@@ -1,100 +1,25 @@
 package trace
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"popt/internal/cache"
-)
+import "fmt"
 
 // This file is the untrusted-input half of the wire format: the hot
-// replay path in llc.go assumes a stream produced by this process's
-// encoder and panics on corruption (badOp / badEOF / badLLCHeader), which
-// is the right contract for in-memory round trips but not for bytes read
-// back off disk. DecodeLLCTrace validates a byte stream completely —
-// header magic, format version, every opcode, every varint boundary — and
-// returns errors instead of panicking. A successfully decoded trace is
-// structurally sound by construction, so its Replay may keep using the
-// panic-based hot loop unchanged. This is the robustness prerequisite for
-// the persistent trace corpus.
+// replay decoder in llc.go assumes structurally sound chunk bytes and
+// panics on corruption (badOp / badEOF), while container bytes come off
+// disk. scanLLCFrom validates a chunk payload completely — every opcode,
+// every varint boundary — and returns errors instead of panicking. A
+// Reader runs it over every chunk once (Verify, before its first replay
+// or rechunk); every later replay re-checks each chunk's CRC, so the
+// bytes the hot loop decodes are the bytes the scan accepted.
 
-// Bytes returns the encoded LLC stream, header included — the exact byte
-// form DecodeLLCTrace accepts. The slice aliases the trace's storage
-// (LLCTrace is //popt:frozen): callers persist or copy it, never mutate.
-func (t *LLCTrace) Bytes() []byte { return t.data }
-
-// DecodeLLCTrace validates data as an encoded LLC-visible stream and
-// returns it as a replayable LLCTrace, reading the setup-invariant totals
-// (instructions, L1/L2 statistics) back out of the header. The whole
-// stream is scanned: a bad magic, an unsupported format version, an
-// unknown opcode, or a varint running off the end of the buffer is an
-// error, never a panic. Stream statistics are recomputed during the scan,
-// so the result reports Stats/BytesPerEvent exactly like the encoder that
-// produced the bytes. The returned trace takes ownership of data; the
-// caller must not mutate it afterwards.
-func DecodeLLCTrace(data []byte) (*LLCTrace, error) {
-	if err := checkLLCHeaderErr(data); err != nil {
-		return nil, err
-	}
-	at := 3
-	take := func() uint64 {
-		x := binary.LittleEndian.Uint64(data[at : at+8])
-		at += 8
-		return x
-	}
-	instructions := take()
-	var levels [2]cache.Stats
-	for i := range levels {
-		levels[i] = cache.Stats{
-			Accesses:   take(),
-			Hits:       take(),
-			Misses:     take(),
-			Evictions:  take(),
-			Writebacks: take(),
-		}
-	}
-	stats, err := scanLLC(data)
-	if err != nil {
-		return nil, err
-	}
-	return &LLCTrace{
-		data:         data,
-		instructions: instructions,
-		l1:           levels[0],
-		l2:           levels[1],
-		stats:        stats,
-	}, nil
-}
-
-// checkLLCHeaderErr is the error-returning counterpart of checkLLCHeader.
-func checkLLCHeaderErr(data []byte) error {
-	if len(data) < llcHeaderLen {
-		return fmt.Errorf("trace: llc stream truncated: %d byte(s), header needs %d", len(data), llcHeaderLen)
-	}
-	if data[0] != magic0 || data[1] != magicLLC1 {
-		return fmt.Errorf("trace: not a llc stream: magic % x, want %c%c", data[:2], magic0, magicLLC1)
-	}
-	if data[2] != LLCFormatVersion {
-		return fmt.Errorf("trace: llc stream is format version %d, this decoder reads version %d; re-record the trace or migrate the corpus", data[2], LLCFormatVersion)
-	}
-	return nil
-}
-
-// scanLLC walks every event of an LLC-stream body, validating structure
-// and recomputing the statistics the encoder would have collected.
-func scanLLC(data []byte) (LLCStats, error) {
-	return scanLLCFrom(data, llcHeaderLen)
-}
-
-// scanLLCFrom validates LLC-stream event bytes starting at i — the whole
-// body for DecodeLLCTrace, a single headerless chunk payload for the
-// container reader. The opcode dispatch mirrors LLCTrace.Replay arm for
-// arm; the codecpair analyzer holds every decoder to the encoder's opcode
-// payloads.
+// scanLLCFrom validates one headerless chunk payload of LLC-stream event
+// bytes and recomputes the statistics the encoder collected for it. The
+// opcode dispatch mirrors replayLLCChunk arm for arm; the codecpair
+// analyzer holds every decoder to the encoder's opcode payloads.
 //
 //popt:codec llc dec
-func scanLLCFrom(data []byte, i int) (LLCStats, error) {
+func scanLLCFrom(data []byte) (LLCStats, error) {
 	var stats LLCStats
+	i := 0
 	for i < len(data) {
 		b := data[i]
 		at := i

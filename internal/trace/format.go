@@ -1,14 +1,12 @@
 package trace
 
-import "fmt"
-
-// Wire-format discipline (DESIGN.md §10). Every encoded stream begins
-// with a fixed-width header — a two-byte magic naming the stream and a
-// one-byte format version — so that bytes which outlive the process (the
-// roadmap's persistent trace corpus) can be rejected instead of
-// misdecoded when the layout evolves. The version constants below are the
-// single source of truth: the encoders write them into the header, the
-// replay paths and the validating decoders check them, and the poptlint
+// Wire-format discipline (DESIGN.md §10). Every encoded container begins
+// with a fixed-width header — a two-byte magic, the container format
+// version, the inner stream kind and that stream's format version — so
+// that bytes which outlive the process (the persistent trace corpus) are
+// rejected instead of misdecoded when a layout evolves. The version
+// constants below are the single source of truth: the writer puts them
+// in the header, OpenContainer checks them, and the poptlint
 // wirecheck family (codecpair / formatlock / opexhaust) pins the layout
 // they version — any change to an opcode's payload op sequence or a
 // header field fails `poptlint -wirecheck` until the stream's entry here
@@ -20,8 +18,11 @@ import "fmt"
 // the formatlock analyzer refuses fingerprint drift that is not
 // accompanied by a bump.
 const (
-	// LLCFormatVersion versions the LLC-visible stream (llc.go).
-	LLCFormatVersion byte = 1
+	// LLCFormatVersion versions the LLC-visible event stream (llc.go)
+	// inside container chunks. It has no header of its own; the version
+	// rides in the container header's inner.version byte. Version 2
+	// dropped the flat in-memory form and its fixed-width header.
+	LLCFormatVersion byte = 2
 	// ContainerFormatVersion versions the chunked on-disk container
 	// (container.go): the frame markers, the chunk/stats/index/meta frame
 	// payload layouts, and the fixed header/trailer. The event bytes
@@ -43,12 +44,9 @@ var FormatVersions = map[string]byte{
 // fingerprint (so header changes need version bumps like opcode changes
 // do), and TestHeaderLayoutMatchesDeclaration pins the declared widths
 // against the real header sizes and offsets used by the encoders.
+// The LLC stream has no entry: its chunks are headerless, and the
+// setup-invariant totals ride in the container's stats frame.
 var HeaderFields = map[string][]string{
-	"llc": {
-		"magic:pl", "version:u8", "instructions:u64",
-		"l1.accesses:u64", "l1.hits:u64", "l1.misses:u64", "l1.evictions:u64", "l1.writebacks:u64",
-		"l2.accesses:u64", "l2.hits:u64", "l2.misses:u64", "l2.evictions:u64", "l2.writebacks:u64",
-	},
 	// The container's fixed-width bytes are split across the two ends of
 	// the file: a 5-byte header up front (kind is 'l', naming the inner
 	// LLC-visible event stream; inner.version is that stream's FormatVersions
@@ -63,9 +61,12 @@ var HeaderFields = map[string][]string{
 	},
 }
 
-// Stream magics: 'p' plus one stream letter. The letter 't' is retired
-// (it named the full pre-L1 stream, which is no longer recorded); do not
-// reuse it, so old bytes keep failing with a named magic or kind error.
+// Stream magics: 'p' plus one stream letter. 'c' opens a container; 'l'
+// names the LLC-visible stream, now only as the container kind (its flat
+// form, which opened with 'p' 'l', is retired). The letter 't' is retired
+// too (it named the full pre-L1 stream, which is no longer recorded); do
+// not reuse it, so old bytes keep failing with a named magic or kind
+// error.
 const (
 	magic0          byte = 'p'
 	magicLLC1       byte = 'l'
@@ -77,13 +78,6 @@ const (
 // magic letter so `popttrace info` output and hexdumps read the same way.
 const KindLLC byte = magicLLC1
 
-// llcHeaderLen is the LLC-stream header size: magic (2) + version (1) +
-// instructions (8) + two cache.Stats blocks of five u64 counters each.
-// The totals are fixed-width (not varints) so the encoder can reserve the
-// space up front and fill it at finalize time without copying the event
-// buffer.
-const llcHeaderLen = 3 + 8 + 2*5*8
-
 // containerHeaderLen is the container header size: magic (2) + container
 // version (1) + kind (1) + inner stream version (1).
 const containerHeaderLen = 5
@@ -92,12 +86,3 @@ const containerHeaderLen = 5
 // footer length (8) + magic echo (2) + version (1) + kind (1). Readers
 // seek here first, so it is fixed-width and last.
 const containerTrailerLen = 20
-
-// badLLCHeader panics on an LLC-stream header mismatch. Out of line so
-// the replay hot loop stays escape-free, like badOp.
-//
-//go:noinline
-func badLLCHeader(m0, m1, v byte) {
-	panic(fmt.Sprintf("trace: bad LLC stream header % x (want magic %c%c version %d); re-record the trace or decode it with DecodeLLCTrace",
-		[]byte{m0, m1, v}, magic0, magicLLC1, LLCFormatVersion))
-}

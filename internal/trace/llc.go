@@ -1,8 +1,7 @@
 package trace
 
 import (
-	"encoding/binary"
-	"math"
+	"bytes"
 
 	"popt/internal/cache"
 	"popt/internal/graph"
@@ -21,7 +20,7 @@ import (
 // from. Hook events (SetVertex, StartIteration, SetTile) stay in the
 // stream because vertex-indexed policies consume them; instruction
 // counts and the L1/L2 statistics are totals, invariant across setups,
-// and ride in the trace header instead of the event stream.
+// and ride in the container's stats frame instead of the event stream.
 
 // LLC-stream opcodes, in the low nibble of the first byte. Access events
 // carry the PC in the high nibble (hi = PC+1, pcEscape = explicit uvarint
@@ -60,42 +59,31 @@ func (s LLCStats) Events() uint64 {
 // it sees the hook events that must stay ordered relative to them. The
 // Sink-side Access/Tick events carry no LLC-visible information and are
 // dropped — their one consumer, the instruction counter, is a total
-// the finished trace copies from the recording Sim.
+// Finish copies from the recording Sim.
+//
+// The encoder streams chunk frames through a ContainerWriter: buf holds
+// one headerless chunk payload that flushes at the first event boundary
+// past the byte target, with delta state reset so every chunk decodes
+// independently. Resident encode memory stays O(one chunk) however long
+// the recording runs, which is what lets paper-scale streams be recorded
+// straight to the corpus.
 type LLCEncoder struct {
 	Nop
+	cw     *ContainerWriter
 	buf    []byte
 	last   [pcSlots]uint64 // previous access address per PC slot
 	lastWB uint64          // previous writeback line address
 	lastV  graph.V
 	stats  LLCStats
 
-	// Chunked mode (NewChunkedLLCEncoder): buf holds one headerless chunk
-	// payload that flushes to cw at the first event boundary past the
-	// byte target, with delta state reset so every chunk decodes
-	// independently. Nil cw (the in-memory form) skips all of it.
-	cw              *ContainerWriter
-	chunkBytes      int
+	chunkBytes      int    // cw's chunk target, copied for the per-event check
 	chunkStartEvnts uint64 // stats.Events() snapshot at chunk start
 	chunkFirstPC    uint64 // first access PC in the chunk + 1; 0 = none
 }
 
-// NewLLCEncoder returns an empty LLC-stream encoder. The fixed-width
-// header (magic, version, and the setup-invariant totals — see
-// HeaderFields in format.go) is reserved up front and filled at finalize
-// time by Trace, so the event buffer never needs a copy.
-func NewLLCEncoder() *LLCEncoder {
-	// chunkBytes is a sentinel no buffer reaches, so the hot per-event
-	// chunk check is one compare with no chunked/in-memory branch.
-	e := &LLCEncoder{buf: make([]byte, llcHeaderLen, 64<<10), chunkBytes: math.MaxInt}
-	e.buf[0], e.buf[1], e.buf[2] = magic0, magicLLC1, LLCFormatVersion
-	return e
-}
-
-// NewChunkedLLCEncoder returns an LLC-stream encoder that streams chunk
-// frames through cw: resident encode memory stays O(one chunk) no matter
-// how long the recording runs, which is what lets paper-scale streams be
-// recorded straight to the corpus. Finalize with Finish (Trace is invalid
-// in this mode); the owner then calls cw.Finish to seal the container.
+// NewChunkedLLCEncoder returns an LLC-stream encoder that emits chunk
+// frames through cw. Finalize with Finish; the owner then calls cw.Finish
+// to seal the container.
 func NewChunkedLLCEncoder(cw *ContainerWriter) *LLCEncoder {
 	return &LLCEncoder{
 		buf:        make([]byte, 0, cw.chunkBytes+16),
@@ -114,8 +102,6 @@ func NewChunkedLLCEncoder(cw *ContainerWriter) *LLCEncoder {
 //
 //popt:hot
 func (e *LLCEncoder) maybeChunk() {
-	// In-memory encoders carry a sentinel threshold, so no nil check of
-	// e.cw is needed here — one compare per event.
 	if len(e.buf) >= e.chunkBytes {
 		e.flushChunk()
 	}
@@ -140,13 +126,12 @@ func (e *LLCEncoder) flushChunk() {
 	e.lastV = 0
 }
 
-// Finish flushes the trailing chunk and installs the stream totals —
-// including the setup-invariant instruction and L1/L2 counters that the
-// in-memory form carries in its header — on the container writer.
+// Finish flushes the trailing chunk and installs the stream totals on the
+// container writer. instructions is the recording run's retired
+// instruction total and l1, l2 its upper-level statistics; all three are
+// invariant across LLC policy setups, so replays install them directly.
+// The encoder must not be used afterwards.
 func (e *LLCEncoder) Finish(instructions uint64, l1, l2 cache.Stats) error {
-	if e.cw == nil {
-		panic("trace: LLCEncoder.Finish without a container writer; use Trace")
-	}
 	e.flushChunk()
 	e.cw.setStats(encodeLLCStats(e.stats, instructions, l1, l2, e.cw.streamCRC))
 	return e.cw.Err()
@@ -172,7 +157,7 @@ func (e *LLCEncoder) LLCAccess(acc mem.Access) {
 	slot := acc.PC & pcSlotMask
 	e.buf = appendVarint(e.buf, int64(acc.Addr-e.last[slot]))
 	e.last[slot] = acc.Addr
-	if e.cw != nil && e.chunkFirstPC == 0 {
+	if e.chunkFirstPC == 0 {
 		e.chunkFirstPC = uint64(acc.PC) + 1
 	}
 	e.maybeChunk()
@@ -221,93 +206,88 @@ func (e *LLCEncoder) SetTile(t int) {
 	e.maybeChunk()
 }
 
-// Trace finalizes the encoder. instructions is the recording run's
-// retired-instruction total and l1, l2 its upper-level statistics; all
-// three are invariant across LLC policy setups, so replays install them
-// directly. They are also written into the reserved header slots so the
-// encoded bytes are self-contained for the on-disk corpus (DecodeLLCTrace
-// reads them back). The encoder must not be used after Trace is called.
-func (e *LLCEncoder) Trace(instructions uint64, l1, l2 cache.Stats) *LLCTrace {
-	if e.cw != nil {
-		panic("trace: chunked LLCEncoder has no in-memory form; finalize with Finish")
-	}
-	putLLCHeader(e.buf, instructions, l1, l2)
-	return &LLCTrace{data: e.buf, instructions: instructions, l1: l1, l2: l2, stats: e.stats}
-}
-
-// putLLCHeader fills the setup-invariant totals into the reserved header
-// slots, in HeaderFields order.
-func putLLCHeader(buf []byte, instructions uint64, l1, l2 cache.Stats) {
-	at := 3
-	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[at:at+8], x)
-		at += 8
-	}
-	put(instructions)
-	for _, s := range [2]cache.Stats{l1, l2} {
-		put(s.Accesses)
-		put(s.Hits)
-		put(s.Misses)
-		put(s.Evictions)
-		put(s.Writebacks)
-	}
-}
-
-// LLCTrace is an immutable encoded LLC-visible stream plus the
-// setup-invariant totals of the run that recorded it. It is safe to
-// replay from multiple goroutines concurrently.
+// LLCTrace is a recorded LLC-visible stream held in memory: a container
+// in a byte slice, replayed through its Reader exactly like a corpus
+// entry. It is safe to replay from multiple goroutines concurrently.
 //
 //popt:frozen
 type LLCTrace struct {
-	data         []byte
-	instructions uint64
-	l1, l2       cache.Stats
-	stats        LLCStats
+	r *Reader
 }
 
-// Size returns the encoded size in bytes.
-func (t *LLCTrace) Size() int { return len(t.data) }
+// RecordLLCTrace records an LLC-visible stream into a container held in
+// memory, the way corpus.Store.Publish records into a file: record drives
+// a chunked encoder (NewChunkedLLCEncoder) over cw and finishes it;
+// RecordLLCTrace seals the container and opens it with
+// OpenContainerBytes. chunkBytes sets the chunk target (<= 0 keeps
+// DefaultChunkBytes). Only this package's encoder can write chunks to cw,
+// so the bytes are trusted by construction and the Reader skips its
+// one-time structural scan; replays still check every chunk's CRC.
+func RecordLLCTrace(chunkBytes int, record func(cw *ContainerWriter) error) (*LLCTrace, error) {
+	var buf bytes.Buffer
+	cw, err := NewContainerWriter(&buf, KindLLC, Meta{})
+	if err != nil {
+		return nil, err
+	}
+	cw.SetChunkBytes(chunkBytes)
+	if err := record(cw); err != nil {
+		return nil, err
+	}
+	if err := cw.Finish(); err != nil {
+		return nil, err
+	}
+	r, err := OpenContainerBytes(buf.Bytes())
+	if err != nil {
+		return nil, err
+	}
+	r.once.Do(func() {}) // trusted: the scan's verdict is nil
+	return &LLCTrace{r: r}, nil
+}
+
+// Reader returns the container reader that replays the trace.
+func (t *LLCTrace) Reader() *Reader { return t.r }
+
+// Size returns the encoded event bytes (chunk payloads; frames and
+// footer excluded).
+func (t *LLCTrace) Size() int { return int(t.r.PayloadBytes()) }
 
 // Stats returns the stream's event statistics.
-func (t *LLCTrace) Stats() LLCStats { return t.stats }
+func (t *LLCTrace) Stats() LLCStats { return t.r.lstats }
 
 // BytesPerEvent returns the encoded density.
 func (t *LLCTrace) BytesPerEvent() float64 {
-	n := t.stats.Events()
+	n := t.r.lstats.Events()
 	if n == 0 {
 		return 0
 	}
-	return float64(len(t.data)) / float64(n)
+	return float64(t.Size()) / float64(n)
 }
 
-// Replay drives sim's LLC with the recorded stream and installs the
-// setup-invariant totals (instructions, L1/L2 statistics), reproducing a
-// live run byte-for-byte on every counter — the replay-equivalence
-// golden in internal/bench pins this across the policy zoo. Decoded
-// demand accesses and writebacks are collected into a fixed-size probe
-// batch and issued through cache.Level.AccessBatch, which preserves
-// event order and per-event semantics exactly (see its contract) while
-// amortizing the set-mapping branch and statistics traffic; the batch
-// mirrors cache.Hierarchy.Access's LLC branches probe for probe. Hook
-// events force a flush only when the sim actually has a hook — for a
-// hookless sim (the whole baseline policy zoo) they are decode-local
-// no-ops and the batch runs long. The stream header is checked once up
-// front: a magic or format-version mismatch fails loudly (badLLCHeader)
-// instead of misdecoding bytes laid out under another version.
+// replayLLCChunk decodes one chunk payload in a single pass straight into
+// the probe batch and returns the new batch length; Reader.ReplayLLC
+// calls it chunk by chunk, and the batch carries across chunk boundaries.
+// Delta state starts at zero because the encoder reset it at the
+// boundary. Demand accesses and writebacks are issued through
+// cache.Level.AccessBatch, which preserves event order and per-event
+// semantics exactly (see its contract) while amortizing the set-mapping
+// branch and statistics traffic; the batch mirrors
+// cache.Hierarchy.Access's LLC branches probe for probe. Hook events
+// force a flush only when the sim actually has a hook — for a hookless
+// sim (the whole baseline policy zoo) they are decode-local no-ops and
+// the batch runs long. Corrupt bytes panic (badOp/badEOF): the reader
+// hands this loop only chunks that scanLLCFrom accepted and whose CRC
+// still matches.
 //
 //popt:hot
 //popt:codec llc dec
-func (t *LLCTrace) Replay(sim *Sim) {
+func replayLLCChunk(sim *Sim, batch *[cache.BatchMax]cache.Probe, n int, data []byte) int {
 	h := sim.H
 	llc := h.LLC
 	hooked := sim.Hook != nil
 	var last [pcSlots]uint64
 	var lastWB uint64
 	var lastV graph.V
-	var batch [cache.BatchMax]cache.Probe
-	n := 0
-	data := t.data
-	i := checkLLCHeader(data)
+	i := 0
 	for i < len(data) {
 		b := data[i]
 		i++
@@ -336,7 +316,7 @@ func (t *LLCTrace) Replay(sim *Sim) {
 				kind = cache.ProbeWrite
 			}
 			if n == cache.BatchMax {
-				n = flushProbes(h, llc, &batch, n)
+				n = flushProbes(h, llc, batch, n)
 			}
 			// The mask is a no-op (the flush above keeps n < BatchMax) that
 			// lets the compiler drop the bounds check from the event loop.
@@ -347,7 +327,7 @@ func (t *LLCTrace) Replay(sim *Sim) {
 			i = nn
 			lastWB += uint64(d)
 			if n == cache.BatchMax {
-				n = flushProbes(h, llc, &batch, n)
+				n = flushProbes(h, llc, batch, n)
 			}
 			batch[n&(cache.BatchMax-1)] = cache.Probe{Addr: lastWB, Kind: cache.ProbeWB}
 			n++
@@ -356,44 +336,41 @@ func (t *LLCTrace) Replay(sim *Sim) {
 			i = nn
 			lastV = graph.V(int64(lastV) + d)
 			if hooked {
-				n = flushProbes(h, llc, &batch, n)
+				n = flushProbes(h, llc, batch, n)
 				sim.SetVertex(lastV)
 			}
 		case lopStartIteration:
 			if hooked {
-				n = flushProbes(h, llc, &batch, n)
+				n = flushProbes(h, llc, batch, n)
 				sim.StartIteration()
 			}
 		case lopSetTile:
 			tl, nn := uvarint(data, i)
 			i = nn
 			if hooked {
-				n = flushProbes(h, llc, &batch, n)
+				n = flushProbes(h, llc, batch, n)
 				sim.SetTile(int(tl))
 			}
 		default:
 			badOp(op, i-1)
 		}
 	}
-	flushProbes(h, llc, &batch, n)
-	sim.Instructions += t.instructions
-	h.L1.Stats.Add(t.l1)
-	h.L2.Stats.Add(t.l2)
+	return n
 }
 
-// reencodeLLCEvents decodes the event bytes of an in-memory LLC stream
-// starting at i and re-encodes each event through enc — the chunking path
-// of WriteLLCContainer and `popttrace rechunk`. The decode arms mirror
-// Replay opcode for opcode (codecpair holds them in lockstep); because
-// the chunked encoder resets its delta state at chunk boundaries, the
-// re-encoded bytes differ from the source stream's even though the event
-// sequence is identical.
+// reencodeLLCEvents decodes one chunk payload and re-encodes each event
+// through enc — the chunking path of Reader.Rechunk (`popttrace
+// rechunk`). The decode arms mirror replayLLCChunk opcode for opcode
+// (codecpair holds them in lockstep); because the chunked encoder resets
+// its delta state at its own chunk boundaries, the re-encoded bytes
+// differ from the source even though the event sequence is identical.
 //
 //popt:codec llc dec
-func reencodeLLCEvents(data []byte, i int, enc *LLCEncoder) {
+func reencodeLLCEvents(data []byte, enc *LLCEncoder) {
 	var last [pcSlots]uint64
 	var lastWB uint64
 	var lastV graph.V
+	i := 0
 	for i < len(data) {
 		b := data[i]
 		i++
@@ -437,7 +414,7 @@ func reencodeLLCEvents(data []byte, i int, enc *LLCEncoder) {
 // flushProbes issues the pending probe batch against the LLC and folds
 // the resulting DRAM traffic into the hierarchy's counters, returning
 // the new (empty) batch length. A plain function taking the batch array
-// by pointer — not a closure — so the batch stays on Replay's stack;
+// by pointer — not a closure — so the batch stays on ReplayLLC's stack;
 // noinline keeps its once-per-batch bounds check from folding back into
 // the per-event decode loop.
 //
@@ -450,21 +427,4 @@ func flushProbes(h *cache.Hierarchy, llc *cache.Level, batch *[cache.BatchMax]ca
 		h.DRAMWrites += dw
 	}
 	return 0
-}
-
-// checkLLCHeader validates the LLC-stream header and returns the index of
-// the first event byte. Mismatches panic out of line; replays of
-// untrusted bytes go through DecodeLLCTrace, which rejects them with an
-// error before this hot path ever runs.
-//
-//popt:hot
-func checkLLCHeader(data []byte) int {
-	if len(data) < llcHeaderLen || data[0] != magic0 || data[1] != magicLLC1 || data[2] != LLCFormatVersion {
-		var m0, m1, v byte
-		if len(data) >= 3 {
-			m0, m1, v = data[0], data[1], data[2]
-		}
-		badLLCHeader(m0, m1, v)
-	}
-	return llcHeaderLen
 }

@@ -7,9 +7,10 @@
 // boundaries, instruction ticks) into a Sink; the live cache simulation is
 // one sink (Sim), and an LLCEncoder teed behind it records the LLC-visible
 // stream — the demand accesses that miss L2, the writebacks they push
-// down, and the hook events between them. An encoded LLCTrace (or its
-// chunked on-disk container) replays into any LLC policy setup, so a
-// stream captured once drives an entire policy zoo.
+// down, and the hook events between them — into a chunked container, on
+// disk in the corpus or in a byte slice (LLCTrace). One Reader replays
+// either into any LLC policy setup, so a stream captured once drives an
+// entire policy zoo.
 package trace
 
 import (

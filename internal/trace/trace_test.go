@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,50 +29,92 @@ func (r *recordSink) StartIteration()       { r.evs = append(r.evs, ev{op: "iter
 func (r *recordSink) SetTile(t int)         { r.evs = append(r.evs, ev{op: "tile", tile: t}) }
 func (r *recordSink) Tick(n uint64)         { r.evs = append(r.evs, ev{op: "tick", n: n}) }
 
+// logPolicy is an LRU LLC policy that logs every demand access it sees
+// (each one either hits or fills) into a shared event log.
+type logPolicy struct {
+	cache.Policy
+	log *[]ev
+}
+
+func (p logPolicy) OnHit(set, way int, acc mem.Access) {
+	*p.log = append(*p.log, ev{op: "access", acc: acc})
+	p.Policy.OnHit(set, way, acc)
+}
+
+func (p logPolicy) OnFill(set, way int, acc mem.Access) {
+	*p.log = append(*p.log, ev{op: "access", acc: acc})
+	p.Policy.OnFill(set, way, acc)
+}
+
+// logHook logs the hook events a replay delivers into the same log.
+type logHook struct{ log *[]ev }
+
+func (h logHook) UpdateIndex(v graph.V) { *h.log = append(*h.log, ev{op: "vertex", v: v}) }
+func (h logHook) ResetEpoch()           { *h.log = append(*h.log, ev{op: "iter"}) }
+func (h logHook) SetTile(t int)         { *h.log = append(*h.log, ev{op: "tile", tile: t}) }
+
 // TestEncoderRoundTrip drives pseudo-random LLC-visible event streams
-// through the encoder and checks the decoded probe and hook-mark
-// sequences are exactly the ones fed in. Addresses span the full uint64
-// range (delta encoding must survive wraparound) and PCs exceed the slot
-// count (collisions must only cost size, never correctness).
+// through the encoder and checks both decoders return exactly the events
+// fed in. Addresses span the full uint64 range (delta encoding must
+// survive wraparound) and PCs exceed the slot count (collisions must only
+// cost size, never correctness). The replay decoder runs over 64-byte
+// chunks, so delta resets and the carried probe batch sit between almost
+// every pair of events; its demand accesses and hook events, logged by
+// the LLC policy and the hook in delivery order, must match the input.
+// The re-encoder must turn those chunks back into exactly the bytes a
+// direct one-chunk recording writes, which pins every opcode, writebacks
+// included.
 func TestEncoderRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
-		enc := NewLLCEncoder()
-		var probes []cache.Probe
-		var marks []llcMark
+		var want []ev
+		var events []func(enc *LLCEncoder)
 		n := 1 + rng.Intn(2000)
 		for i := 0; i < n; i++ {
 			switch rng.Intn(10) {
 			case 0:
 				v := graph.V(rng.Uint32())
-				enc.SetVertex(v)
-				marks = append(marks, llcMark{pos: len(probes), kind: lopSetVertex, val: int64(v)})
+				events = append(events, func(enc *LLCEncoder) { enc.SetVertex(v) })
+				want = append(want, ev{op: "vertex", v: v})
 			case 1:
-				enc.StartIteration()
-				marks = append(marks, llcMark{pos: len(probes), kind: lopStartIteration})
+				events = append(events, func(enc *LLCEncoder) { enc.StartIteration() })
+				want = append(want, ev{op: "iter"})
 			case 2:
 				tl := rng.Intn(64)
-				enc.SetTile(tl)
-				marks = append(marks, llcMark{pos: len(probes), kind: lopSetTile, val: int64(tl)})
+				events = append(events, func(enc *LLCEncoder) { enc.SetTile(tl) })
+				want = append(want, ev{op: "tile", tile: tl})
 			case 3:
 				line := rng.Uint64()
-				enc.LLCWriteback(line)
-				probes = append(probes, cache.Probe{Addr: line, Kind: cache.ProbeWB})
+				events = append(events, func(enc *LLCEncoder) { enc.LLCWriteback(line) })
 			default:
 				acc := mem.Access{Addr: rng.Uint64(), PC: uint16(rng.Intn(1 << 16)), Write: rng.Intn(2) == 0}
-				enc.LLCAccess(acc)
-				kind := cache.ProbeRead
-				if acc.Write {
-					kind = cache.ProbeWrite
-				}
-				probes = append(probes, cache.Probe{Addr: acc.Addr, PC: acc.PC, Kind: kind})
+				events = append(events, func(enc *LLCEncoder) { enc.LLCAccess(acc) })
+				want = append(want, ev{op: "access", acc: acc})
 			}
 		}
-		tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
-		gotProbes, gotMarks := decodeLLCChunkEvents(tr.Bytes()[llcHeaderLen:], nil)
-		if !reflect.DeepEqual(gotProbes, probes) || !reflect.DeepEqual(gotMarks, marks) {
-			t.Fatalf("trial %d: round trip diverged (%d probes/%d marks in, %d/%d out)",
-				trial, len(probes), len(marks), len(gotProbes), len(gotMarks))
+		feed := func(enc *LLCEncoder) {
+			for _, e := range events {
+				e(enc)
+			}
+		}
+		fine := openBytes(t, encodeLLCContainer(t, 64, 0, cache.Stats{}, cache.Stats{}, feed))
+		whole := encodeLLCContainer(t, 0, 0, cache.Stats{}, cache.Stats{}, feed)
+
+		var got []ev
+		cfg := tinyConfig()
+		cfg.LLCPolicy = func() cache.Policy { return logPolicy{Policy: cache.NewLRU(), log: &got} }
+		if err := fine.ReplayLLC(NewSim(cache.NewHierarchy(cfg), logHook{log: &got})); err != nil {
+			t.Fatalf("trial %d: ReplayLLC: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: replay delivered %d accesses+hooks, %d fed in, or they differ", trial, len(got), len(want))
+		}
+		var re bytes.Buffer
+		if err := fine.Rechunk(&re, DefaultChunkBytes); err != nil {
+			t.Fatalf("trial %d: Rechunk: %v", trial, err)
+		}
+		if !bytes.Equal(re.Bytes(), whole) {
+			t.Fatalf("trial %d: re-encoded %d-chunk stream differs from the direct recording", trial, fine.Chunks())
 		}
 	}
 }
@@ -79,11 +122,12 @@ func TestEncoderRoundTrip(t *testing.T) {
 // TestEncoderDeltaLocality pins the compression property the format exists
 // for: a line-strided same-PC walk must encode in ~3 bytes/event.
 func TestEncoderDeltaLocality(t *testing.T) {
-	enc := NewLLCEncoder()
-	for i := 0; i < 10000; i++ {
-		enc.LLCAccess(mem.Access{Addr: 1<<30 + uint64(i)*mem.LineSize, PC: 3})
-	}
-	tr := enc.Trace(0, cache.Stats{}, cache.Stats{})
+	data := encodeLLCContainer(t, 0, 0, cache.Stats{}, cache.Stats{}, func(enc *LLCEncoder) {
+		for i := 0; i < 10000; i++ {
+			enc.LLCAccess(mem.Access{Addr: 1<<30 + uint64(i)*mem.LineSize, PC: 3})
+		}
+	})
+	tr := &LLCTrace{r: openBytes(t, data)}
 	if bpe := tr.BytesPerEvent(); bpe > 3.5 {
 		t.Errorf("sequential walk encodes at %.2f bytes/event, want <= 3.5", bpe)
 	}
@@ -92,16 +136,14 @@ func TestEncoderDeltaLocality(t *testing.T) {
 	}
 }
 
-// TestTraceReplayIsRepeatable checks an LLCTrace carries no mutable decode
+// TestTraceReplayIsRepeatable checks a Reader carries no mutable decode
 // state: two replays into fresh sims must land on identical counters and
 // deliver the same hook events.
 func TestTraceReplayIsRepeatable(t *testing.T) {
-	tr := encodeRandomLLCStream(3, 500)
+	r := openBytes(t, randomLLCContainer(t, 3, 500, 256))
 	replay := func() (llcCounters, int) {
 		hook := &countingHook{}
-		sim := NewSim(cache.NewHierarchy(tinyConfig()), hook)
-		tr.Replay(sim)
-		return countersOf(sim), hook.updates
+		return replayCounters(t, r, hook), hook.updates
 	}
 	a, ahook := replay()
 	b, bhook := replay()
@@ -110,24 +152,35 @@ func TestTraceReplayIsRepeatable(t *testing.T) {
 	}
 	// A hook without epochs sees each StartIteration as progress to
 	// vertex 0 (see Sim.StartIteration).
-	st := tr.Stats()
+	_, _, _, st, _ := r.LLCTotals()
 	if want := int(st.VertexUpdates + st.Iterations); ahook != want {
 		t.Fatalf("replay delivered %d vertex updates, trace holds %d", ahook, want)
 	}
 }
 
 // TestStatsEvents checks the event total matches a hand count, and that
-// the Sink-side Access/Tick events the encoder drops are not counted.
+// the Sink-side Access/Tick events the encoder drops are not counted. The
+// recording is RecordLLCTrace's, whose Reader skips the one-time scan as
+// trusted; it must verify clean all the same.
 func TestStatsEvents(t *testing.T) {
-	enc := NewLLCEncoder()
-	enc.LLCAccess(mem.Access{Addr: 1, PC: 1, Write: true})
-	enc.LLCWriteback(64)
-	enc.SetVertex(1)
-	enc.StartIteration()
-	enc.SetTile(2)
-	enc.Access(mem.Access{Addr: 2, PC: 1})
-	enc.Tick(5)
-	st := enc.Trace(0, cache.Stats{}, cache.Stats{}).Stats()
+	tr, err := RecordLLCTrace(0, func(cw *ContainerWriter) error {
+		enc := NewChunkedLLCEncoder(cw)
+		enc.LLCAccess(mem.Access{Addr: 1, PC: 1, Write: true})
+		enc.LLCWriteback(64)
+		enc.SetVertex(1)
+		enc.StartIteration()
+		enc.SetTile(2)
+		enc.Access(mem.Access{Addr: 2, PC: 1})
+		enc.Tick(5)
+		return enc.Finish(0, cache.Stats{}, cache.Stats{})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Reader().Verify(); err != nil {
+		t.Fatalf("Verify on a trusted recording: %v", err)
+	}
+	st := tr.Stats()
 	if got := st.Events(); got != 5 {
 		t.Errorf("Events() = %d, want 5", got)
 	}

@@ -18,9 +18,9 @@ const (
 // so collisions only cost larger deltas, never correctness. pcSlots is a
 // power of two so the slot map is a single AND with pcSlotMask (a
 // constant power-of-two modulo needs no fastmod reciprocal); the encode
-// and decode hot loops in llc.go and container_reader.go all take this
-// path, while the non-constant set-count modulo the replayed accesses hit
-// inside the LLC runs on the Level's fastmod datapath.
+// and decode hot loops in llc.go all take this path, while the
+// non-constant set-count modulo the replayed accesses hit inside the LLC
+// runs on the Level's fastmod datapath.
 const pcSlots = 256
 
 // pcSlotMask masks a PC into its delta slot.
@@ -76,10 +76,11 @@ func varint(data []byte, i int) (int64, int) {
 	return int64(ux>>1) ^ -int64(ux&1), n
 }
 
-// badOp panics on a corrupt opcode; an in-memory LLCTrace is only ever
-// produced by LLCEncoder (or validated by DecodeLLCTrace), so this is a
-// programming error, not an input error. The panic (and its fmt boxing)
-// lives out of line so Replay's frame stays escape-free.
+// badOp panics on a corrupt opcode. The hot decoders only see chunk
+// payloads whose structure the Reader's one-time scan accepted and whose
+// CRC still matches, so this is a programming error, not an input error.
+// The panic (and its fmt boxing) lives out of line so the replay
+// decoder's frame stays escape-free.
 //
 //go:noinline
 func badOp(op byte, at int) {

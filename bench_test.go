@@ -6,6 +6,7 @@ package popt_test
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"popt/internal/analysis"
@@ -52,33 +53,60 @@ func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
 func BenchmarkTable4(b *testing.B) { benchExperiment(b, "table4") }
 
 // BenchmarkBuildMatrix measures Rereference Matrix preprocessing (the
-// Table IV quantity) per encoding.
+// Table IV quantity: the merged transpose plus the dense encoding) per
+// encoding.
 func BenchmarkBuildMatrix(b *testing.B) {
 	g := graph.Uniform(1<<15, 8<<15, 3)
 	for _, k := range []core.Kind{core.InterOnly, core.InterIntra, core.SingleEpoch} {
 		b.Run(k.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				core.BuildMatrix(&g.Out, g.NumVertices(), 16, k, 8)
+				core.BuildTable(&g.Out, g.NumVertices(), 16, k, 8).Encode()
 			}
-			bytesPerRun := core.BuildMatrix(&g.Out, g.NumVertices(), 16, k, 8).TotalBytes()
+			bytesPerRun := core.BuildTable(&g.Out, g.NumVertices(), 16, k, 8).TotalBytes()
 			b.ReportMetric(float64(bytesPerRun), "matrix-bytes")
 		})
 	}
 }
 
 // BenchmarkNextRef measures the Algorithm 2 lookup (the per-way work of
-// the next-ref engine).
+// the next-ref engine) in two query orders. "sweep" advances cur the way
+// a traversal does, 64 vertices between two queries of one line, so each
+// line's cursor is warm and the lookup gallops a short way forward;
+// "random" jumps cur anywhere, so half the lookups move backward and fall
+// back to a binary search.
 func BenchmarkNextRef(b *testing.B) {
 	g := graph.Uniform(1<<15, 8<<15, 3)
 	m := core.BuildMatrix(&g.Out, g.NumVertices(), 16, core.InterIntra, 8)
 	n := graph.V(g.NumVertices())
-	b.ReportAllocs()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink += m.NextRef(i%m.NumLines, graph.V(i)%n)
-	}
-	_ = sink
+	b.Run("sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		var sink int
+		line, cur := 0, graph.V(0)
+		for i := 0; i < b.N; i++ {
+			sink += m.NextRef(line, cur)
+			if line++; line == m.NumLines {
+				line, cur = 0, (cur+64)%n
+			}
+		}
+		_ = sink
+	})
+	b.Run("random", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(1))
+		lines := make([]int, 1<<16)
+		curs := make([]graph.V, len(lines))
+		for i := range lines {
+			lines[i], curs[i] = rng.Intn(m.NumLines), graph.V(rng.Intn(int(n)))
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		var sink int
+		for i := 0; i < b.N; i++ {
+			j := i & (len(lines) - 1)
+			sink += m.NextRef(lines[j], curs[j])
+		}
+		_ = sink
+	})
 }
 
 // BenchmarkHierarchyAccess measures raw simulator throughput per policy.

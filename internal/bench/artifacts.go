@@ -12,14 +12,16 @@ import (
 	"popt/internal/trace"
 )
 
-// Shared-artifact memoization for sweeps. Every P-OPT cell on the same
-// (transpose, encoding, bits) rebuilds the same Rereference Matrix, and
-// every T-OPT cell the same merged transpose — Table IV puts matrix
-// construction alone at ~20% of a PageRank run, so at sweep scale the
-// rebuilds dominate. An artifact cache keyed by the immutable inputs
-// builds each product once and hands every cell a cheap per-run view
-// (core.Table → core.Matrix, core.LineRefs shared directly); suite graphs
-// are memoized one level down in package graph. Correctness rests on two
+// Shared-artifact memoization for sweeps. Every P-OPT and T-OPT cell on
+// the same transpose and line geometry reads the same merged transpose
+// (core.LineRefs): T-OPT takes its exact next references from it, and a
+// P-OPT Rereference Matrix of any encoding and width computes its entries
+// from it on demand. Table IV puts matrix construction alone at ~20% of a
+// PageRank run, so at sweep scale rebuilding it per cell would dominate.
+// An artifact cache keyed by the immutable inputs builds each merged
+// transpose once and hands every cell it (P-OPT wraps it in a cheap
+// core.Table geometry and a per-run core.Matrix view); suite graphs are
+// memoized one level down in package graph. Correctness rests on two
 // invariants the tests pin with checksums: cached products are never
 // written after construction, and a cached build is bit-identical to a
 // fresh one.
@@ -33,37 +35,22 @@ import (
 
 type artifacts struct {
 	mu      sync.Mutex
-	tables  map[tableKey]*tableEntry   //popt:guardedby mu
 	lrs     map[lrKey]*lrEntry         //popt:guardedby mu
 	streams map[streamKey]*streamEntry //popt:guardedby mu
 }
 
-// tableKey identifies one immutable Rereference Matrix table. The
-// adjacency pointer is the graph identity: suite graphs are memoized, so
-// the same input yields the same pointer for every cell of a sweep.
-type tableKey struct {
-	adj  *graph.Adj
-	nv   int
-	epl  int
-	kind core.Kind
-	bits uint
-}
-
+// lrKey identifies one immutable merged transpose. The adjacency pointer
+// is the graph identity: suite graphs are memoized, so the same input
+// yields the same pointer for every cell of a sweep.
 type lrKey struct {
 	adj *graph.Adj
 	epl int
 }
 
 // Entries carry a per-key once so a thundering herd of cells needing the
-// same table at sweep start builds it exactly once without serializing
-// builds of *different* tables behind one lock.
+// same merged transpose at sweep start builds it exactly once without
+// serializing builds of *different* ones behind one lock.
 //
-//popt:frozen
-type tableEntry struct {
-	once sync.Once
-	t    *core.Table //popt:guardedby once
-}
-
 //popt:frozen
 type lrEntry struct {
 	once sync.Once
@@ -96,7 +83,6 @@ type streamEntry struct {
 
 func newArtifacts() *artifacts {
 	return &artifacts{
-		tables:  make(map[tableKey]*tableEntry),
 		lrs:     make(map[lrKey]*lrEntry),
 		streams: make(map[streamKey]*streamEntry),
 	}
@@ -112,20 +98,6 @@ func (a *artifacts) stream(k streamKey) *streamEntry {
 	}
 	a.mu.Unlock()
 	return e
-}
-
-// table returns the memoized Rereference Matrix table for the key,
-// building it on first use.
-func (a *artifacts) table(k tableKey) *core.Table {
-	a.mu.Lock()
-	e := a.tables[k]
-	if e == nil {
-		e = new(tableEntry)
-		a.tables[k] = e
-	}
-	a.mu.Unlock()
-	e.once.Do(func() { e.t = core.BuildTable(k.adj, k.nv, k.epl, k.kind, k.bits) })
-	return e.t
 }
 
 // lineRefs returns the memoized merged transpose for the key.
@@ -150,10 +122,10 @@ func (c Config) withArtifacts() Config {
 }
 
 // buildPOPT mirrors core.BuildPOPT — one Rereference Matrix per distinct
-// elements-per-line, shared across the arrays (Section V-F) — but pulls
-// tables from the artifact cache when one is installed, so concurrent
-// cells share the encoded entries and differ only in their per-run Matrix
-// views.
+// elements-per-line, shared across the arrays (Section V-F) — but lays
+// each table over the artifact cache's merged transpose when a cache is
+// installed, so P-OPT at every width and encoding and T-OPT share one
+// build, and cells differ only in their geometry and per-run Matrix views.
 func (c Config) buildPOPT(refAdj *graph.Adj, numVertices int, kind core.Kind, bits uint, arrs ...*mem.Array) *core.POPT {
 	if c.arts == nil {
 		return core.BuildPOPT(refAdj, numVertices, kind, bits, arrs...)
@@ -164,7 +136,8 @@ func (c Config) buildPOPT(refAdj *graph.Adj, numVertices int, kind core.Kind, bi
 		epl := arr.ElemsPerLine()
 		m := byEPL[epl]
 		if m == nil {
-			m = c.arts.table(tableKey{adj: refAdj, nv: numVertices, epl: epl, kind: kind, bits: bits}).NewMatrix()
+			lr := c.arts.lineRefs(lrKey{adj: refAdj, epl: epl})
+			m = core.NewTable(lr, numVertices, epl, kind, bits).NewMatrix()
 			byEPL[epl] = m
 		}
 		streams[i] = core.Stream{Arr: arr, M: m}

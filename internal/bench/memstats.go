@@ -9,9 +9,10 @@ import (
 
 // MemStats reports the resident footprint of the shared artifacts a sweep
 // at this config would hold: per input graph, the adjacency bytes under
-// the resolved layout against the plain-CSR equivalent, plus the analytic
-// sizes of the two memoized preprocessing artifacts P-OPT cells share —
-// the Rereference Matrix table and the merged transpose (core.LineRefs).
+// the resolved layout against the plain-CSR equivalent, plus two analytic
+// preprocessing sizes: the dense Rereference Matrix, which the paper keeps
+// in DRAM and the simulator never allocates, and the merged transpose
+// (core.LineRefs) that P-OPT and T-OPT cells share.
 // The report is what -memstats prints and what BENCH_memory.json records;
 // building it costs one suite construction and no simulation.
 func MemStats(c Config) *Report {
@@ -22,8 +23,8 @@ func MemStats(c Config) *Report {
 		Notes: []string{
 			"adjacency = resident Out+In bytes under the resolved layout;",
 			"plain-equiv = the same adjacencies as plain CSR (8(n+1)+4m per direction);",
-			"reref = Rereference Matrix table at the paper's 8-bit default;",
-			"linerefs = merged transpose for 4 B irregular elements (T-OPT artifact).",
+			"reref = the paper's DRAM Rereference Matrix at its 8-bit default, sized analytically as uint16 cells; the simulator never allocates it;",
+			"linerefs = merged transpose for 4 B irregular elements (the resident P-OPT and T-OPT artifact).",
 			fmt.Sprintf("Corpus replays are bounded separately: one %s chunk resident per concurrent replay.",
 				HumanBytes(trace.DefaultChunkBytes)),
 		},
@@ -53,10 +54,10 @@ func MemStats(c Config) *Report {
 	return rep
 }
 
-// rerefTableBytes is the analytic size of core.BuildTable's entry matrix
-// at the paper's 8-bit default for a 4 B-element irregular array: one
-// uint16 per (cache line of the array) x (epoch), with min(256, n)
-// epochs.
+// rerefTableBytes is the analytic size of the dense Rereference Matrix
+// (core.Table.Encode) at the paper's 8-bit default for a 4 B-element
+// irregular array: one uint16 per (cache line of the array) x (epoch),
+// with min(256, n) epochs. Only Table IV's measurement builds it.
 func rerefTableBytes(n int) uint64 {
 	epl := mem.LineSize / 4
 	lines := (n + epl - 1) / epl

@@ -9,20 +9,27 @@ import (
 )
 
 // TestMemStatsAnalyticSizes pins the -memstats analytic formulas to the
-// real artifacts they describe: the Rereference Matrix table and merged
-// transpose built for a suite graph must occupy exactly the bytes the
-// report claims.
+// real artifacts they describe. A Rereference Matrix table at any width
+// holds exactly the merged transpose the linerefs column claims, never the
+// dense matrix, and the reref column is the size of that dense matrix as
+// Encode lays it out.
 func TestMemStatsAnalyticSizes(t *testing.T) {
 	for _, g := range graph.Suite(graph.ScaleTiny, 42) {
 		n := g.NumVertices()
 		epl := mem.LineSize / 4
-		tab := core.BuildTable(&g.In, n, epl, core.InterIntra, 8)
-		if got, want := tab.MemBytes(), rerefTableBytes(n); got != want {
-			t.Errorf("%s: Table.MemBytes() = %d, analytic %d", g.Name, got, want)
-		}
 		lr := core.BuildLineRefs(&g.In, epl)
 		if got, want := lr.MemBytes(), lineRefsBytes(n, g.NumEdges()); got != want {
 			t.Errorf("%s: LineRefs.MemBytes() = %d, analytic %d", g.Name, got, want)
+		}
+		for _, bits := range []uint{4, 8, 16} {
+			tab := core.NewTable(lr, n, epl, core.InterIntra, bits)
+			if got, want := tab.MemBytes(), lineRefsBytes(n, g.NumEdges()); got != want {
+				t.Errorf("%s: %d-bit Table.MemBytes() = %d, want the merged transpose's %d", g.Name, bits, got, want)
+			}
+		}
+		dense := core.NewTable(lr, n, epl, core.InterIntra, 8).Encode()
+		if got, want := 2*uint64(len(dense)), rerefTableBytes(n); got != want {
+			t.Errorf("%s: encoded matrix is %d bytes, analytic %d", g.Name, got, want)
 		}
 	}
 }

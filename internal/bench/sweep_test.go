@@ -124,41 +124,45 @@ func TestSweepProgressEvents(t *testing.T) {
 	}
 }
 
-// TestArtifactSharing checks the memoization layer: two P-OPT builds on the
-// same (graph, encoding, bits) share one encoded table, and two T-OPT
-// builds one merged transpose, while each policy instance stays private.
+// TestArtifactSharing checks the memoization layer: P-OPT at 4, 8 and 16
+// bits and T-OPT, each built twice on the same graph, share one merged
+// transpose per (adjacency, line geometry), while each policy instance
+// stays private.
 func TestArtifactSharing(t *testing.T) {
 	c := TinyConfig().withArtifacts()
 	g := c.Suite()[0]
-	w1 := kernels.NewPageRank(g)
-	w2 := kernels.NewPageRank(g)
-	p1 := c.buildPOPT(w1.RefAdj, w1.G.NumVertices(), core.InterIntra, 8, w1.Irregular...)
-	p2 := c.buildPOPT(w2.RefAdj, w2.G.NumVertices(), core.InterIntra, 8, w2.Irregular...)
-	if p1 == p2 {
+	epls := make(map[int]bool)
+	var popts []*core.POPT
+	for _, w := range []*kernels.Workload{kernels.NewPageRank(g), kernels.NewPageRank(g)} {
+		for _, arr := range w.Irregular {
+			epls[arr.ElemsPerLine()] = true
+		}
+		for _, bits := range []uint{4, 8, 16} {
+			popts = append(popts, c.buildPOPT(w.RefAdj, w.G.NumVertices(), core.InterIntra, bits, w.Irregular...))
+		}
+		c.buildTOPT(w.RefAdj, w.Irregular...)
+	}
+	if popts[1] == popts[4] {
 		t.Fatal("policy instances must be per-cell, not shared")
 	}
-	if got := len(c.arts.tables); got != 1 { //lint:allow lockguard (single-threaded assert)
-		t.Fatalf("two same-key P-OPT builds created %d tables, want 1", got)
-	}
-	c.buildTOPT(w1.RefAdj, w1.Irregular...)
-	c.buildTOPT(w2.RefAdj, w2.Irregular...)
-	if got := len(c.arts.lrs); got != 1 { //lint:allow lockguard (single-threaded assert)
-		t.Fatalf("two same-key T-OPT builds created %d merged transposes, want 1", got)
+	if got := len(c.arts.lrs); got != len(epls) { //lint:allow lockguard (single-threaded assert)
+		t.Fatalf("P-OPT-4/8/16 and T-OPT builds created %d merged transposes, want one per line geometry (%d)", got, len(epls))
 	}
 
 	// A cached build must be bit-identical to a fresh one.
 	//lint:allow lockguard (single-threaded assert)
-	for k, e := range c.arts.tables { //lint:ordered (independent per-key comparisons)
-		fresh := core.BuildTable(k.adj, k.nv, k.epl, k.kind, k.bits)
-		if fresh.Checksum() != e.t.Checksum() { //lint:allow lockguard
-			t.Fatal("cached table diverges from a fresh build")
+	for k, e := range c.arts.lrs { //lint:ordered (independent per-key comparisons)
+		fresh := core.BuildLineRefs(k.adj, k.epl)
+		if fresh.Checksum() != e.lr.Checksum() { //lint:allow lockguard
+			t.Fatal("cached merged transpose diverges from a fresh build")
 		}
 	}
 }
 
 // TestSweepSharedInputsImmutable hashes every shared artifact before and
 // after a full parallel experiment: no cell may write through the shared
-// suite graphs, encoded tables, or merged transposes.
+// suite graphs, merged transposes, or Rereference Matrix geometry laid
+// over them.
 func TestSweepSharedInputsImmutable(t *testing.T) {
 	c := TinyConfig()
 	c.Workers = runtime.GOMAXPROCS(0)
@@ -170,15 +174,15 @@ func TestSweepSharedInputsImmutable(t *testing.T) {
 	// Pre-build every artifact the sweep will use, hash them, then run a
 	// parallel P-OPT + T-OPT grid against the same cache.
 	arts := newArtifacts()
+	tables := make(map[lrKey]*core.Table)
 	for _, g := range suite {
 		w := kernels.NewPageRank(g)
-		arts.table(tableKey{adj: w.RefAdj, nv: g.NumVertices(), epl: w.Irregular[0].ElemsPerLine(), kind: core.InterIntra, bits: 8})
-		arts.lineRefs(lrKey{adj: w.RefAdj, epl: w.Irregular[0].ElemsPerLine()})
+		k := lrKey{adj: w.RefAdj, epl: w.Irregular[0].ElemsPerLine()}
+		tables[k] = core.NewTable(arts.lineRefs(k), g.NumVertices(), k.epl, core.InterIntra, 8)
 	}
-	tableSums := make(map[tableKey]uint64)
-	//lint:allow lockguard (single-threaded before the sweep)
-	for k, e := range arts.tables { //lint:ordered (checksums keyed, order-independent)
-		tableSums[k] = e.t.Checksum() //lint:allow lockguard
+	tableSums := make(map[lrKey]uint64)
+	for k, tab := range tables { //lint:ordered (checksums keyed, order-independent)
+		tableSums[k] = tab.Checksum()
 	}
 	lrSums := make(map[lrKey]uint64)
 	//lint:allow lockguard (single-threaded before the sweep)
@@ -197,9 +201,8 @@ func TestSweepSharedInputsImmutable(t *testing.T) {
 			t.Fatalf("suite graph %s mutated by sweep", g.Name)
 		}
 	}
-	//lint:allow lockguard (single-threaded after the sweep joined)
-	for k, e := range arts.tables { //lint:ordered (checksums keyed, order-independent)
-		if e.t.Checksum() != tableSums[k] { //lint:allow lockguard
+	for k, tab := range tables { //lint:ordered (checksums keyed, order-independent)
+		if tab.Checksum() != tableSums[k] {
 			t.Fatal("shared Rereference Matrix table mutated by sweep")
 		}
 	}

@@ -35,19 +35,7 @@ func buildFig5Matrix(kind Kind) *Matrix {
 // epoch size (the public builder derives epoch size from the quantization
 // width).
 func rebuildWithEpochSize(ref *graph.Adj, numVertices, epl int, kind Kind, bits uint, epochSize int) *Matrix {
-	tt := &Table{Kind: kind, Bits: bits, ElemsPerLine: epl}
-	tt.EpochSize = epochSize
-	tt.NumEpochs = (numVertices + epochSize - 1) / epochSize
-	tt.SubEpochs = 1<<kind.distBits(bits) - 1
-	if tt.SubEpochs < 1 {
-		tt.SubEpochs = 1
-	}
-	tt.SubEpochSize = (epochSize + tt.SubEpochs - 1) / tt.SubEpochs
-	tt.NumLines = (ref.N() + epl - 1) / epl
-	tt.entries = make([]uint16, tt.NumLines*tt.NumEpochs)
-	tt.initDividers()
-	fillEntries(tt, ref, numVertices)
-	return tt.NewMatrix()
+	return newTable(BuildLineRefs(ref, epl), numVertices, epl, kind, bits, epochSize).NewMatrix()
 }
 
 // newTestSpace shortens mem.NewSpace in tests.

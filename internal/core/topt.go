@@ -24,21 +24,27 @@ type OracleStream struct {
 	Ref *graph.Adj
 
 	// LR is the per-cache-line merge of the vertices' sorted reference
-	// lists, so a next-reference query is one binary search instead of a
-	// scan per vertex. NewTOPT builds it when nil; callers that simulate
+	// lists, so a next-reference query is one seek instead of a scan per
+	// vertex. NewTOPT builds it when nil; callers that simulate
 	// the same (transpose, line geometry) many times can build it once
 	// with BuildLineRefs and share it read-only across runs. This is a
 	// simulator-speed optimization only: hardware T-OPT would scan the
 	// transpose, and the paper charges it nothing either way (T-OPT is
 	// the idealized bound).
 	LR *LineRefs
+
+	// cursor is the per-line seek position into LR: per-run state, which
+	// NewTOPT allocates for its own copy of the stream.
+	cursor []uint32
 }
 
-// LineRefs is the immutable merged-transpose table behind an
-// OracleStream: for each cache line of the irregular array, the sorted
-// union of its vertices' reference positions. Like core.Table it never
-// changes after construction and is safe to share across concurrent
-// simulations.
+// LineRefs is the immutable merged transpose behind both oracles: for each
+// cache line of the irregular array, the sorted union of its vertices'
+// reference positions. T-OPT reads exact next references from it and a
+// Rereference Matrix Table computes its quantized entries from it. It
+// never changes after construction and is safe to share across concurrent
+// simulations; the per-line cursors that speed up queries live in the
+// per-run Matrix and TOPT.
 //
 //popt:frozen
 type LineRefs struct {
@@ -136,28 +142,52 @@ func (lr *LineRefs) Checksum() uint64 {
 	return h.Sum64()
 }
 
-// next returns the smallest reference position of line l strictly greater
-// than cur, or ok=false. The binary search is written out by hand rather
-// than through sort.Search: this runs once per candidate way per LLC
-// eviction, and the closure-based form costs an indirect call per probe
-// and defeats bounds-check elimination on the segment.
+// numLines returns how many cache lines the table covers.
+func (lr *LineRefs) numLines() int { return len(lr.oa) - 1 }
+
+// line returns line l's sorted reference positions.
+func (lr *LineRefs) line(l int) []graph.V {
+	o := lr.oa[l : l+2]
+	return lr.refs[o[0]:o[1]]
+}
+
+// seek returns the index of the first element of the sorted list seg that
+// is at least x (len(seg) if none), starting from the cursor c: the index
+// the same line's previous query returned. Queries follow the outer loop,
+// so x mostly moves forward by a few references, and seek gallops from c
+// (probing c, c+1, c+3, c+7, ...) before binary-searching the bracketed
+// gap, which costs O(log d) for a move of d references. A query that moved
+// backward (a new traversal after ResetEpoch or SetTile, BDFS and
+// Propagation Blocking orders, multicore interleavings) binary-searches
+// seg[:c] instead. The result does not depend on c; the cursor only makes
+// it cheap. The searches are written out by hand rather than through
+// sort.Search: this runs once per candidate way per LLC eviction, and the
+// closure-based form costs an indirect call per probe.
 //
 //popt:hot
-func (lr *LineRefs) next(l int, cur graph.V) (graph.V, bool) {
-	seg := lr.refs[lr.oa[l]:lr.oa[l+1]]
-	lo, hi := 0, len(seg)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if seg[mid] > cur {
-			hi = mid
-		} else {
-			lo = mid + 1
+func seek(seg []graph.V, c int, x graph.V) int {
+	lo, hi := 0, c
+	if c == 0 || seg[c-1] < x {
+		// The answer is at or after c: gallop to bracket it.
+		lo = c
+		for step := 1; hi < len(seg) && seg[hi] < x; step <<= 1 {
+			lo = hi + 1
+			hi += step
+		}
+		if hi > len(seg) {
+			hi = len(seg)
 		}
 	}
-	if lo == len(seg) {
-		return 0, false
+	// Now seg[lo-1] < x (or lo == 0), and seg[hi] >= x (or hi == len(seg)).
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if seg[mid] < x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return seg[lo], true
+	return lo
 }
 
 // TOPT is transpose-based optimal replacement (Section III): at eviction
@@ -175,14 +205,16 @@ type TOPT struct {
 	Ties uint64
 }
 
-// NewTOPT builds a T-OPT policy over the given irregular streams,
-// building any merged-transpose tables the caller did not supply.
+// NewTOPT builds a T-OPT policy over copies of the given irregular
+// streams, building any merged-transpose tables the caller did not supply.
 func NewTOPT(streams ...OracleStream) *TOPT {
-	p := &TOPT{streams: streams, tie: cache.NewDRRIP(1)}
+	p := &TOPT{streams: append([]OracleStream(nil), streams...), tie: cache.NewDRRIP(1)}
 	for i := range p.streams {
-		if p.streams[i].LR == nil {
-			p.streams[i].LR = BuildLineRefs(p.streams[i].Ref, p.streams[i].Arr.ElemsPerLine())
+		s := &p.streams[i]
+		if s.LR == nil {
+			s.LR = BuildLineRefs(s.Ref, s.Arr.ElemsPerLine())
 		}
+		s.cursor = make([]uint32, s.LR.numLines())
 	}
 	return p
 }
@@ -225,10 +257,14 @@ func (p *TOPT) stream(addr uint64) *OracleStream {
 //
 //popt:hot
 func (p *TOPT) nextRef(s *OracleStream, addr uint64) int64 {
-	if next, ok := s.LR.next(s.Arr.LineID(addr), p.cur); ok {
-		return int64(next) - int64(p.cur)
+	l := s.Arr.LineID(addr)
+	seg, cursor := s.LR.line(l), &s.cursor[l]
+	i := seek(seg, int(*cursor), p.cur+1)
+	*cursor = uint32(i)
+	if i == len(seg) {
+		return infDist
 	}
-	return infDist
+	return int64(seg[i]) - int64(p.cur)
 }
 
 // Victim implements cache.Policy following Section V-C's candidate search:

@@ -35,7 +35,7 @@ import (
 // minEdgesPerWorker is the parallelism grain: a build forks only when
 // every worker gets at least this many edges, so tiny graphs (the unit
 // test suite) run the phases inline on the calling goroutine. Same
-// grain-control idea as core.fillEntries' minLinesPerWorker, scaled to
+// grain-control idea as core.Table.Encode's minLinesPerWorker, scaled to
 // the cheaper per-edge work.
 const minEdgesPerWorker = 1 << 16
 

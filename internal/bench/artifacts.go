@@ -219,8 +219,10 @@ func (c Config) replayStream(g *graph.Graph, name string, h streamHandle, s Setu
 // replay, skipping kernel re-execution and L1/L2 simulation entirely.
 // Replay is byte-identical to live execution (golden-tested), so which
 // cell records is irrelevant and sweep reports stay deterministic at
-// every worker count. With no artifact cache (or under NoReplay) every
-// cell runs live, as before the trace pipeline.
+// every worker count; drivers list one producing cell per stream ahead of
+// the replaying ones only so that replays do not wait (producersFirst).
+// With no artifact cache (or under NoReplay) every cell runs live, as
+// before the trace pipeline.
 //
 // build must construct the workload deterministically from g alone: the
 // stream name is trusted to cover kernel identity and schedule.

@@ -49,17 +49,17 @@ func Fig2(c Config) *Report {
 // is byte-identical to the serial loops at any worker count.
 func sweepGrid(c Config, id string, suite []*graph.Graph, setups []Setup, run func(*graph.Graph, Setup) Result) [][]Result {
 	results := make([][]Result, len(suite))
-	cells := make([]Cell, 0, len(suite)*len(setups))
+	grid := make([][]Cell, len(suite))
 	for gi, g := range suite {
 		results[gi] = make([]Result, len(setups))
 		for si, s := range setups {
-			cells = append(cells, Cell{
+			grid[gi] = append(grid[gi], Cell{
 				Key: id + "/" + g.Name + "/" + s.Name,
 				Run: func() { results[gi][si] = run(g, s) },
 			})
 		}
 	}
-	c.runCells(cells)
+	c.runCells(producersFirst(grid))
 	return results
 }
 
@@ -200,12 +200,15 @@ func Fig16(c Config) *Report {
 	// Sensitivity sweeps use two contrasting graphs to bound runtime.
 	suite := c.Suite()
 	graphs := []*graph.Graph{suite[0], suite[3]} // power-law and uniform
-	type cellOut struct{ base, popt Result }
-	results := make([][]cellOut, len(graphs))
-	var cells []Cell
+	// One cell per (variant, setup), DRRIP first, so column 0 of each
+	// graph's row is a pure producer of that graph's stream.
+	setups := []Setup{DRRIPSetup(), POPTSetup(core.InterIntra, 8, true)}
+	results := make([][][]Result, len(graphs))
+	grid := make([][]Cell, len(graphs))
 	for gi, g := range graphs {
-		results[gi] = make([]cellOut, len(variants))
+		results[gi] = make([][]Result, len(variants))
 		for vi, v := range variants {
+			results[gi][vi] = make([]Result, len(setups))
 			vc := c
 			size, ways := v.size, v.ways
 			vc.Cache = func(llc func() cache.Policy) cache.Config {
@@ -213,25 +216,22 @@ func Fig16(c Config) *Report {
 				cfg.LLCSize, cfg.LLCWays = size, ways
 				return cfg
 			}
-			cells = append(cells, Cell{
-				Key: "fig16/" + g.Name + "/" + v.label,
-				Run: func() {
+			for si, s := range setups {
+				grid[gi] = append(grid[gi], Cell{
+					Key: "fig16/" + g.Name + "/" + v.label + "/" + s.Name,
 					// vc shares c's artifact cache, so all cache-shape
 					// variants of a graph replay one recorded stream (the
 					// reference stream does not depend on the hierarchy).
-					results[gi][vi] = cellOut{
-						base: vc.runStream(g, "PR", kernels.NewPageRank, DRRIPSetup()),
-						popt: vc.runStream(g, "PR", kernels.NewPageRank, POPTSetup(core.InterIntra, 8, true)),
-					}
-				},
-			})
+					Run: func() { results[gi][vi][si] = vc.runStream(g, "PR", kernels.NewPageRank, s) },
+				})
+			}
 		}
 	}
-	c.runCells(cells)
+	c.runCells(producersFirst(grid))
 	for gi, g := range graphs {
 		for vi, v := range variants {
-			out := results[gi][vi]
-			rep.AddRow(g.Name, v.label, fmt.Sprintf("%d/%d", out.popt.Reserved, v.ways), pct(MissReduction(out.base, out.popt)))
+			base, popt := results[gi][vi][0], results[gi][vi][1]
+			rep.AddRow(g.Name, v.label, fmt.Sprintf("%d/%d", popt.Reserved, v.ways), pct(MissReduction(base, popt)))
 		}
 	}
 	return rep

@@ -74,7 +74,11 @@ func (c Config) phaseDone(key, phase string, start time.Time) {
 	}
 }
 
-// Sweep executes independent cells on a bounded worker pool.
+// Sweep executes independent cells on a bounded worker pool. Cells start
+// in list order: a worker that frees up always takes the lowest-index
+// cell not yet started, and a serial run is exactly the list order.
+// Drivers rely on that to put every shared stream's producing cell ahead
+// of the cells that replay it (producersFirst).
 type Sweep struct {
 	// Workers bounds the pool; <= 0 means GOMAXPROCS.
 	Workers int
@@ -171,6 +175,24 @@ func (s *Sweep) finish(i, total int, key string, elapsed time.Duration) {
 	if s.Progress != nil {
 		s.Progress(CellEvent{Index: i, Done: s.done, Total: total, Key: key, Elapsed: elapsed})
 	}
+}
+
+// producersFirst flattens a grid whose rows each share one reference
+// stream into dispatch order: column 0 of every row, then the remaining
+// cells in row-major order. The first cell of a row to run records the
+// row's stream while later cells of that row wait on it (runStream), so
+// listing one cell per stream ahead of every replay lets the records of
+// different rows run side by side instead of parking a worker behind
+// each one in turn. Every row must be non-empty.
+func producersFirst(grid [][]Cell) []Cell {
+	var cells []Cell
+	for _, row := range grid {
+		cells = append(cells, row[0])
+	}
+	for _, row := range grid {
+		cells = append(cells, row[1:]...)
+	}
+	return cells
 }
 
 // runCells executes cells under c's sweep settings (Workers, Progress) and

@@ -124,6 +124,47 @@ func TestSweepProgressEvents(t *testing.T) {
 	}
 }
 
+// TestSweepProducersFirst pins the dispatch order of the stream-sharing
+// drivers: in a serial run every stream is recorded before any stream is
+// replayed, and each distinct stream (one per graph row of the report) is
+// recorded exactly once. Graph-major order would interleave them.
+func TestSweepProducersFirst(t *testing.T) {
+	for _, run := range []func(Config) *Report{Fig2, Fig4, Fig7, Fig15, Fig16} {
+		var phases []PhaseEvent
+		cfg := TinyConfig()
+		cfg.Workers = 1
+		cfg.PhaseProgress = func(ev PhaseEvent) { phases = append(phases, ev) }
+		rep := run(cfg)
+
+		streams := make(map[string]bool)
+		for _, row := range rep.Rows {
+			streams[row[0]] = true
+		}
+		recorded := make(map[string]bool)
+		replaying := false
+		for _, ev := range phases {
+			switch ev.Phase {
+			case "record":
+				if replaying {
+					t.Fatalf("%s: record %s follows a replay", rep.ID, ev.Key)
+				}
+				if recorded[ev.Key] {
+					t.Fatalf("%s: stream %s recorded twice", rep.ID, ev.Key)
+				}
+				recorded[ev.Key] = true
+			case "replay":
+				replaying = true
+			}
+		}
+		if len(recorded) != len(streams) {
+			t.Fatalf("%s: %d record phases for %d distinct streams", rep.ID, len(recorded), len(streams))
+		}
+		if !replaying {
+			t.Fatalf("%s: no replay phases", rep.ID)
+		}
+	}
+}
+
 // TestArtifactSharing checks the memoization layer: P-OPT at 4, 8 and 16
 // bits and T-OPT, each built twice on the same graph, share one merged
 // transpose per (adjacency, line geometry), while each policy instance

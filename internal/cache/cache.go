@@ -211,8 +211,9 @@ func (l *Level) Policy() Policy { return l.pol }
 // ReleasePolicy drops the level's reference to its replacement policy
 // once a run is over, so a caller that keeps the level for its counters
 // does not also keep the policy's state alive (SHiP-Mem's signature
-// table alone is 4 MiB). The level must not be accessed, filled,
-// reserved or flushed afterwards.
+// table reserves 4 MiB, of which a run touches only the entries its
+// accesses write). The level must not be accessed, filled, reserved or
+// flushed afterwards.
 func (l *Level) ReleasePolicy() { l.pol = nil }
 
 // SetIndex maps a line address to its set: a mask when the set count is a

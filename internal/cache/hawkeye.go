@@ -21,10 +21,16 @@ const (
 // hawkeyeSample is the per-sampled-set OPTgen state: a sliding occupancy
 // vector over recent accesses plus the last access time/PC per line.
 type hawkeyeSample struct {
-	time      uint64            // accesses seen by this set
-	occupancy []uint8           // ring buffer indexed by time % len
-	lastTime  map[uint64]uint64 // line addr -> last access time
-	lastPC    map[uint64]uint16 // line addr -> PC of last access
+	time      uint64                 // accesses seen by this set
+	occupancy []uint8                // ring buffer indexed by time % len
+	last      map[uint64]hawkeyeLast // line addr -> its last access
+}
+
+// hawkeyeLast is one line's last access in a sampled set: when it
+// happened and the PC that made it.
+type hawkeyeLast struct {
+	t  uint64
+	pc uint16
 }
 
 // Hawkeye implements Policy.
@@ -92,8 +98,7 @@ func (p *Hawkeye) observe(set int, acc mem.Access) {
 	if s == nil {
 		s = &hawkeyeSample{
 			occupancy: make([]uint8, p.window),
-			lastTime:  make(map[uint64]uint64),
-			lastPC:    make(map[uint64]uint16),
+			last:      make(map[uint64]hawkeyeLast),
 		}
 		p.samples[set] = s
 	}
@@ -103,7 +108,8 @@ func (p *Hawkeye) observe(set int, acc mem.Access) {
 	// Expire the slot we are about to reuse in the ring.
 	s.occupancy[now%p.window] = 0
 	capacity := uint8(p.g.Ways - p.g.ReservedWays)
-	if t0, seen := s.lastTime[la]; seen && now-t0 < p.window {
+	if prev, seen := s.last[la]; seen && now-prev.t < p.window {
+		t0 := prev.t
 		// Would OPT have hit? Only if every quantum in [t0, now) has spare
 		// occupancy.
 		optHit := true
@@ -118,19 +124,17 @@ func (p *Hawkeye) observe(set int, acc mem.Access) {
 				s.occupancy[t%p.window]++
 			}
 		}
-		p.train(s.lastPC[la], optHit)
+		p.train(prev.pc, optHit)
 	}
-	s.lastTime[la] = now
-	s.lastPC[la] = acc.PC
+	s.last[la] = hawkeyeLast{t: now, pc: acc.PC}
 	// Garbage-collect entries older than the window occasionally. The
 	// iteration order is immaterial: every expired entry is deleted and
 	// no policy state is read or written here.
-	if len(s.lastTime) > 4*int(p.window) {
+	if len(s.last) > 4*int(p.window) {
 		//lint:ordered
-		for a, t := range s.lastTime {
-			if now-t >= p.window {
-				delete(s.lastTime, a)
-				delete(s.lastPC, a)
+		for a, l := range s.last {
+			if now-l.t >= p.window {
+				delete(s.last, a)
 			}
 		}
 	}

@@ -16,9 +16,14 @@ type shipSignature func(acc mem.Access) uint32
 // SHiP layers signature-based insertion on an SRRIP backend.
 type SHiP struct {
 	rripBase
-	name    string
-	sig     shipSignature
-	shct    []uint8 // 2-bit saturating counters
+	name string
+	sig  shipSignature
+	size int // SHCT entries
+	// shct holds 2-bit saturating counters, each stored as its value
+	// minus one, so the zero value is the initial "weakly not reused"
+	// state and a fresh table stays untouched zero pages until an access
+	// writes an entry.
+	shct    []int8
 	lineSig []uint32
 	reused  []bool
 }
@@ -26,11 +31,14 @@ type SHiP struct {
 const (
 	shctSize = 1 << 14
 	shctMax  = 3
+	// shctBias is the offset between a counter's value and its stored
+	// form: stored = value - shctBias.
+	shctBias = 1
 )
 
 // NewSHiPPC returns SHiP with PC-indexed signatures.
 func NewSHiPPC() *SHiP {
-	p := &SHiP{name: "SHiP-PC", sig: func(a mem.Access) uint32 { return uint32(a.PC) % shctSize }}
+	p := &SHiP{name: "SHiP-PC", size: shctSize, sig: func(a mem.Access) uint32 { return uint32(a.PC) % shctSize }}
 	p.bits = 2
 	return p
 }
@@ -41,7 +49,7 @@ func NewSHiPPC() *SHiP {
 // collisions are rare at simulated scales.
 func NewSHiPMem() *SHiP {
 	const memTable = 1 << 22
-	p := &SHiP{name: "SHiP-Mem", sig: func(a mem.Access) uint32 {
+	p := &SHiP{name: "SHiP-Mem", size: memTable, sig: func(a mem.Access) uint32 {
 		return uint32((a.Addr >> mem.LineShift) % memTable)
 	}}
 	p.bits = 2
@@ -54,15 +62,8 @@ func (p *SHiP) Name() string { return p.name }
 // Bind implements Policy.
 func (p *SHiP) Bind(g Geometry) {
 	p.rripBase.Bind(g)
-	size := shctSize
-	if p.name == "SHiP-Mem" {
-		size = 1 << 22
-	}
-	if len(p.shct) != size {
-		p.shct = make([]uint8, size)
-		for i := range p.shct {
-			p.shct[i] = 1 // weakly not-reused
-		}
+	if len(p.shct) != p.size {
+		p.shct = make([]int8, p.size) // all weakly not-reused
 	}
 	p.lineSig = make([]uint32, g.Sets*g.Ways)
 	p.reused = make([]bool, g.Sets*g.Ways)
@@ -74,7 +75,7 @@ func (p *SHiP) OnHit(set, way int, acc mem.Access) {
 	idx := set*p.g.Ways + way
 	if !p.reused[idx] {
 		p.reused[idx] = true
-		if s := p.lineSig[idx]; p.shct[s] < shctMax {
+		if s := p.lineSig[idx]; p.shct[s] < shctMax-shctBias {
 			p.shct[s]++
 		}
 	}
@@ -87,7 +88,7 @@ func (p *SHiP) OnFill(set, way int, acc mem.Access) {
 	s := p.sig(acc)
 	p.lineSig[idx] = s
 	p.reused[idx] = false
-	if p.shct[s] == 0 {
+	if p.shct[s] == -shctBias {
 		p.insert(set, way, p.max) // predicted dead: distant
 	} else {
 		p.insert(set, way, p.max-1)
@@ -98,7 +99,7 @@ func (p *SHiP) OnFill(set, way int, acc mem.Access) {
 func (p *SHiP) OnEvict(set, way int) {
 	idx := set*p.g.Ways + way
 	if !p.reused[idx] {
-		if s := p.lineSig[idx]; p.shct[s] > 0 {
+		if s := p.lineSig[idx]; p.shct[s] > -shctBias {
 			p.shct[s]--
 		}
 	}

@@ -29,16 +29,7 @@ func main() {
 	edges := flag.String("edges", "", "build from a 'src dst' edge-list file (requires -n)")
 	mtx := flag.String("mtx", "", "build from a MatrixMarket coordinate file")
 	progress := flag.Bool("progress", false, "report per-graph build timing on stderr (suite builds)")
-	layout := flag.String("layout", "plain", "adjacency storage layout: auto, plain, or compact (applies to generated and loaded graphs)")
-	memstats := flag.Bool("memstats", false, "print resident adjacency bytes vs the plain-CSR equivalent for each graph")
 	flag.Parse()
-
-	lay, err := graph.ParseLayout(*layout)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphgen:", err)
-		os.Exit(2)
-	}
-	reportMem = *memstats
 
 	if *progress {
 		graph.SuiteProgress = func(g *graph.Graph, elapsed time.Duration) {
@@ -53,62 +44,34 @@ func main() {
 	case "large":
 		s = graph.ScaleLarge
 	}
-	relayout := func(g *graph.Graph) *graph.Graph { return g.WithLayout(lay.Resolve(s)) }
 
 	switch {
 	case *stats != "":
-		g := relayout(load(*stats))
-		printStats(g)
+		printStats(load(*stats))
 	case *mtx != "":
 		f, err := os.Open(*mtx)
 		check(err)
 		defer f.Close()
 		g, err := graph.ParseMatrixMarket(f, filepath.Base(*mtx))
 		check(err)
-		save(relayout(g), *out)
+		save(g, *out)
 	case *edges != "":
 		f, err := os.Open(*edges)
 		check(err)
 		defer f.Close()
 		g, err := graph.ParseEdgeList(f, filepath.Base(*edges), *n)
 		check(err)
-		save(relayout(g), *out)
+		save(g, *out)
 	case *kind == "suite":
-		for _, g := range graph.SuiteLayout(s, *seed, lay) {
+		for _, g := range graph.Suite(s, *seed) {
 			save(g, filepath.Join(*out, g.Name+".poptg"))
 		}
 	case *kind != "":
-		g := relayout(generate(*kind, *n, *deg, *seed))
-		save(g, *out)
+		save(generate(*kind, *n, *deg, *seed), *out)
 	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-}
-
-// reportMem mirrors -memstats: when set, save and printStats append a
-// resident-footprint line comparing the graph's adjacency bytes under its
-// current layout with the plain-CSR equivalent.
-var reportMem bool
-
-func memLine(g *graph.Graph) string {
-	adj := g.Out.MemBytes() + g.In.MemBytes()
-	plain := 2 * (8*uint64(g.NumVertices()+1) + 4*uint64(g.NumEdges()))
-	return fmt.Sprintf("  adjacency %s resident (plain-CSR equivalent %s, %.2fx)",
-		humanBytes(adj), humanBytes(plain), float64(plain)/float64(adj))
-}
-
-func humanBytes(b uint64) string {
-	const unit = 1024
-	if b < unit {
-		return fmt.Sprintf("%d B", b)
-	}
-	div, exp := uint64(unit), 0
-	for n := b / unit; n >= unit; n /= unit {
-		div *= unit
-		exp++
-	}
-	return fmt.Sprintf("%.2f %ciB", float64(b)/float64(div), "KMGTPE"[exp])
 }
 
 func generate(kind string, n, deg int, seed int64) *graph.Graph {
@@ -159,9 +122,6 @@ func save(g *graph.Graph, path string) {
 	defer f.Close()
 	check(graph.Write(f, g))
 	fmt.Printf("wrote %s: %v\n", path, g)
-	if reportMem {
-		fmt.Println(memLine(g))
-	}
 }
 
 func printStats(g *graph.Graph) {
@@ -169,9 +129,6 @@ func printStats(g *graph.Graph) {
 	maxDeg, at := g.MaxDegree()
 	fmt.Printf("%v\n  max out-degree %d (vertex %d)\n  degree histogram (pow2 buckets): %v\n",
 		g, maxDeg, at, g.DegreeHistogram())
-	if reportMem {
-		fmt.Println(memLine(g))
-	}
 }
 
 func check(err error) {

@@ -24,7 +24,6 @@ import (
 func main() {
 	scale := flag.String("scale", "default", "input scale: tiny, default, or large")
 	seed := flag.Int64("seed", 42, "generator seed")
-	layout := flag.String("layout", "auto", "adjacency storage layout: auto (compact at large scale, plain otherwise), plain, or compact; reports are identical across layouts")
 	memstats := flag.Bool("memstats", false, "report resident bytes per shared artifact (suite adjacencies, merged transposes) and exit unless experiments are also named")
 	list := flag.Bool("list", false, "list experiments and exit")
 	format := flag.String("format", "table", "output format: table or csv")
@@ -116,13 +115,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "poptbench: unknown scale %q\n", *scale)
 		os.Exit(2)
 	}
-	lay, err := graph.ParseLayout(*layout)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "poptbench: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Layout = lay
-
 	if *memstats {
 		rep := bench.MemStats(cfg)
 		if *format == "csv" {

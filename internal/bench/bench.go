@@ -24,11 +24,6 @@ import (
 type Config struct {
 	Scale graph.Scale
 	Seed  int64
-	// Layout selects the adjacency storage the suite is built with:
-	// LayoutAuto (zero value) resolves to compact at ScaleLarge and plain
-	// elsewhere; poptbench -layout overrides it. Reports are byte-identical
-	// across layouts — kernels consume the layout-neutral Adj API.
-	Layout graph.Layout
 	// Cache returns the hierarchy configuration for an LLC policy; when
 	// nil, the scale-matched default is used.
 	Cache func(llc func() cache.Policy) cache.Config
@@ -96,7 +91,7 @@ func (c Config) cacheConfig(llc func() cache.Policy) cache.Config {
 }
 
 // Suite returns the input graphs for the config.
-func (c Config) Suite() []*graph.Graph { return graph.SuiteLayout(c.Scale, c.Seed, c.Layout) }
+func (c Config) Suite() []*graph.Graph { return graph.Suite(c.Scale, c.Seed) }
 
 // Report is a rendered experiment result.
 type Report struct {

@@ -8,49 +8,39 @@ import (
 )
 
 // MemStats reports the resident footprint of the shared artifacts a sweep
-// at this config would hold: per input graph, the adjacency bytes under
-// the resolved layout against the plain-CSR equivalent, plus two analytic
-// preprocessing sizes: the dense Rereference Matrix, which the paper keeps
-// in DRAM and the simulator never allocates, and the merged transpose
-// (core.LineRefs) that P-OPT and T-OPT cells share.
-// The report is what -memstats prints and what BENCH_memory.json records;
-// building it costs one suite construction and no simulation.
+// at this config would hold: per input graph, the Out+In adjacency bytes,
+// plus two analytic preprocessing sizes: the dense Rereference Matrix,
+// which the paper keeps in DRAM and the simulator never allocates, and the
+// merged transpose (core.LineRefs) that P-OPT and T-OPT cells share.
+// The report is what -memstats prints; building it costs one suite
+// construction and no simulation.
 func MemStats(c Config) *Report {
-	lay := c.Layout.Resolve(c.Scale)
 	rep := &Report{
 		ID:    "memstats",
-		Title: fmt.Sprintf("resident bytes per shared artifact (scale %s, layout %s)", c.Scale, lay),
+		Title: fmt.Sprintf("resident bytes per shared artifact (scale %s)", c.Scale),
 		Notes: []string{
-			"adjacency = resident Out+In bytes under the resolved layout;",
-			"plain-equiv = the same adjacencies as plain CSR (8(n+1)+4m per direction);",
+			"adjacency = resident Out+In CSR bytes (8(n+1)+4m per direction);",
 			"reref = the paper's DRAM Rereference Matrix at its 8-bit default, sized analytically as uint16 cells; the simulator never allocates it;",
 			"linerefs = merged transpose for 4 B irregular elements (the resident P-OPT and T-OPT artifact).",
 			fmt.Sprintf("Corpus replays are bounded separately: one %s chunk resident per concurrent replay.",
 				HumanBytes(trace.DefaultChunkBytes)),
 		},
-		Header: []string{"graph", "vertices", "edges", "adjacency", "plain-equiv", "ratio", "reref", "linerefs"},
+		Header: []string{"graph", "vertices", "edges", "adjacency", "reref", "linerefs"},
 	}
-	var adjTotal, plainTotal, rrTotal, lrTotal uint64
+	var adjTotal, rrTotal, lrTotal uint64
 	for _, g := range c.Suite() {
 		n, m := g.NumVertices(), g.NumEdges()
 		adj := g.Out.MemBytes() + g.In.MemBytes()
-		plain := 2 * (8*uint64(n+1) + 4*uint64(m))
 		rr := rerefTableBytes(n)
 		lr := lineRefsBytes(n, m)
 		adjTotal += adj
-		plainTotal += plain
 		rrTotal += rr
 		lrTotal += lr
 		rep.AddRow(g.Name,
 			fmt.Sprintf("%d", n), fmt.Sprintf("%d", m),
-			HumanBytes(adj), HumanBytes(plain),
-			fmt.Sprintf("%.2fx", float64(plain)/float64(adj)),
-			HumanBytes(rr), HumanBytes(lr))
+			HumanBytes(adj), HumanBytes(rr), HumanBytes(lr))
 	}
-	rep.AddRow("TOTAL", "", "",
-		HumanBytes(adjTotal), HumanBytes(plainTotal),
-		fmt.Sprintf("%.2fx", float64(plainTotal)/float64(adjTotal)),
-		HumanBytes(rrTotal), HumanBytes(lrTotal))
+	rep.AddRow("TOTAL", "", "", HumanBytes(adjTotal), HumanBytes(rrTotal), HumanBytes(lrTotal))
 	return rep
 }
 

@@ -35,27 +35,29 @@ func TestMemStatsAnalyticSizes(t *testing.T) {
 }
 
 // TestMemStatsReport sanity-checks the report itself: one row per suite
-// graph plus a TOTAL, and a compact-layout report must show a ratio
-// above 1 while plain shows exactly the plain-equivalent bytes.
+// graph plus a TOTAL, and each adjacency cell is the CSR size of both
+// directions, 8(n+1)+4m bytes each.
 func TestMemStatsReport(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = graph.ScaleTiny
-	cfg.Layout = graph.LayoutCompact
 	rep := MemStats(cfg)
-	if want := len(graph.Suite(graph.ScaleTiny, cfg.Seed)) + 1; len(rep.Rows) != want {
+	suite := graph.Suite(graph.ScaleTiny, cfg.Seed)
+	if want := len(suite) + 1; len(rep.Rows) != want {
 		t.Fatalf("report has %d rows, want %d", len(rep.Rows), want)
 	}
-	total := rep.Rows[len(rep.Rows)-1]
-	if total[0] != "TOTAL" {
-		t.Fatalf("last row is %q, want TOTAL", total[0])
+	var total uint64
+	for i, g := range suite {
+		csr := 2 * (8*uint64(g.NumVertices()+1) + 4*uint64(g.NumEdges()))
+		total += csr
+		if got, want := rep.Rows[i][3], HumanBytes(csr); got != want {
+			t.Errorf("%s adjacency = %q, want %q", g.Name, got, want)
+		}
 	}
-	if total[3] == total[4] {
-		t.Errorf("compact TOTAL adjacency %q equals plain equivalent %q", total[3], total[4])
+	last := rep.Rows[len(rep.Rows)-1]
+	if last[0] != "TOTAL" {
+		t.Fatalf("last row is %q, want TOTAL", last[0])
 	}
-	cfg.Layout = graph.LayoutPlain
-	plain := MemStats(cfg)
-	ptotal := plain.Rows[len(plain.Rows)-1]
-	if ptotal[3] != ptotal[4] {
-		t.Errorf("plain TOTAL adjacency %q != plain equivalent %q", ptotal[3], ptotal[4])
+	if got, want := last[3], HumanBytes(total); got != want {
+		t.Errorf("TOTAL adjacency = %q, want %q", got, want)
 	}
 }

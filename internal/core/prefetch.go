@@ -30,7 +30,6 @@ type TransposePrefetcher struct {
 
 	last    graph.V
 	started bool
-	scratch []graph.V
 }
 
 // NewTransposePrefetcher wires a prefetcher with the given lookahead.
@@ -60,7 +59,7 @@ func (p *TransposePrefetcher) UpdateIndex(v graph.V) {
 	to := v + graph.V(p.Depth)
 	p.last = v
 	for target := from; target <= to && target < n; target++ {
-		for _, u := range p.Trav.Neighbors(target, &p.scratch) {
+		for _, u := range p.Trav.Neighs(target) {
 			if int(u) < p.Arr.Len {
 				p.H.Prefetch(mem.Access{Addr: p.Arr.Addr(int(u)), PC: prefetchPC})
 			}

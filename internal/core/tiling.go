@@ -27,28 +27,14 @@ func SubArray(a *mem.Array, lo, hi int) *mem.Array {
 
 // SubAdj restricts an adjacency to vertices [lo, hi), renumbering vertices
 // to start at zero while keeping neighbor IDs absolute (they are outer-loop
-// positions). For a plain adjacency OA is rebuilt and NA shared; a compact
-// one decodes its slice into a small plain sub-adjacency (tiles are
-// short-lived matrix-build inputs, not resident state).
+// positions). OA is rebuilt and NA shared.
 func SubAdj(a *graph.Adj, lo, hi graph.V) graph.Adj {
 	oa := make([]uint64, hi-lo+1)
-	base := a.Start(lo)
-	if !a.IsCompact() {
-		for v := lo; v <= hi; v++ {
-			oa[v-lo] = a.OA[v] - base
-		}
-		return graph.Adj{OA: oa, NA: a.NA[base:a.OA[hi]]}
+	base := a.OA[lo]
+	for v := lo; v <= hi; v++ {
+		oa[v-lo] = a.OA[v] - base
 	}
-	na := make([]graph.V, a.Start(hi)-base)
-	it := a.IterFrom(lo)
-	w := 0
-	for v := lo; v < hi; v++ {
-		ns, start := it.Next()
-		oa[v-lo] = start - base
-		w += copy(na[w:], ns)
-	}
-	oa[hi-lo] = uint64(w)
-	return graph.Adj{OA: oa, NA: na}
+	return graph.Adj{OA: oa, NA: a.NA[base:a.OA[hi]]}
 }
 
 // TilePolicy is a P-OPT per tile behind one cache.Policy facade.

@@ -54,31 +54,25 @@ type LineRefs struct {
 
 // BuildLineRefs merges the sorted neighbor lists of the vertices sharing
 // each cache line (elemsPerLine of them) into one sorted list per line.
-// Lines are independent, so the merge is partitioned across GOMAXPROCS
-// workers; the result is identical at every worker count.
+// In CSR those lists already sit side by side, so the merge is a copy of
+// NA cut at every elemsPerLine-th offset, with each line's segment
+// sorted. Lines are independent, so the sorts are partitioned across
+// GOMAXPROCS workers; the result is identical at every worker count.
 func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 	n := ref.N()
 	numLines := (n + elemsPerLine - 1) / elemsPerLine
 	lr := &LineRefs{oa: make([]uint64, numLines+1)}
-	total := uint64(0)
-	for l := 0; l < numLines; l++ {
-		lr.oa[l] = total
-		lo, hi := l*elemsPerLine, (l+1)*elemsPerLine
-		if hi > n {
-			hi = n
-		}
-		for v := lo; v < hi; v++ {
-			total += uint64(ref.Degree(graph.V(v)))
-		}
+	base := ref.OA[0]
+	for l := 0; l <= numLines; l++ {
+		lr.oa[l] = ref.OA[min(l*elemsPerLine, n)] - base
 	}
-	lr.oa[numLines] = total
-	lr.refs = make([]graph.V, total)
+	lr.refs = append([]graph.V(nil), ref.NA[base:ref.OA[n]]...)
 	workers := runtime.GOMAXPROCS(0)
 	if max := numLines / minLinesPerWorker; workers > max {
 		workers = max
 	}
 	if workers <= 1 {
-		lr.mergeLines(ref, elemsPerLine, 0, numLines)
+		lr.sortLines(0, numLines)
 		return lr
 	}
 	var wg sync.WaitGroup
@@ -91,32 +85,23 @@ func BuildLineRefs(ref *graph.Adj, elemsPerLine int) *LineRefs {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			lr.mergeLines(ref, elemsPerLine, lo, hi)
+			lr.sortLines(lo, hi)
 		}(lo, hi)
 	}
 	wg.Wait()
 	return lr
 }
 
-// mergeLines fills and sorts the reference segments of lines [lineLo,
-// lineHi); each worker of the parallel build owns a disjoint range. The
-// per-line sort is graph.SortV rather than sort.Slice: one closure
-// allocation and reflect swapper per cache line adds up over a
-// million-line table, and the manual sort keeps this loop escape-free.
+// sortLines sorts the reference segments of lines [lineLo, lineHi); each
+// worker of the parallel build owns a disjoint range. The per-line sort
+// is graph.SortV rather than sort.Slice: one closure allocation and
+// reflect swapper per cache line adds up over a million-line table, and
+// the manual sort keeps this loop escape-free.
 //
 //popt:hot
-func (lr *LineRefs) mergeLines(ref *graph.Adj, elemsPerLine, lineLo, lineHi int) {
-	n := ref.N()
+func (lr *LineRefs) sortLines(lineLo, lineHi int) {
 	for l := lineLo; l < lineHi; l++ {
-		w := lr.oa[l]
-		lo, hi := l*elemsPerLine, (l+1)*elemsPerLine
-		if hi > n {
-			hi = n
-		}
-		for v := lo; v < hi; v++ {
-			w += uint64(ref.CopyNeighbors(lr.refs[w:], graph.V(v)))
-		}
-		graph.SortV(lr.refs[lr.oa[l]:w])
+		graph.SortV(lr.refs[lr.oa[l]:lr.oa[l+1]])
 	}
 }
 

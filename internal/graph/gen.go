@@ -487,20 +487,13 @@ func (s Scale) String() string {
 }
 
 // Suite returns the five-input suite mirroring Table III at the requested
-// scale, in the plain layout. The order matches the paper's tables: DBP,
-// UK, KRON, URAND, HBUBL. Suites are memoized per (scale, seed, layout):
-// the first call generates the graphs, later calls share the same
-// immutable *Graph values. The returned slice is a fresh copy, so callers
-// may append to or reorder it freely.
+// scale. The order matches the paper's tables: DBP, UK, KRON, URAND,
+// HBUBL. Suites are memoized per (scale, seed): the first call generates
+// the graphs, later calls share the same immutable *Graph values. The
+// returned slice is a fresh copy, so callers may append to or reorder it
+// freely.
 func Suite(s Scale, seed int64) []*Graph {
-	return SuiteLayout(s, seed, LayoutPlain)
-}
-
-// SuiteLayout is Suite with an adjacency-layout knob. LayoutAuto resolves
-// per scale (compact at ScaleLarge, plain below); the resolved layout is
-// part of the memoization key, so plain and compact suites coexist.
-func SuiteLayout(s Scale, seed int64, lay Layout) []*Graph {
-	cached := cachedSuiteLayout(s, seed, lay)
+	cached := cachedSuite(s, seed)
 	out := make([]*Graph, len(cached))
 	copy(out, cached)
 	return out
@@ -514,11 +507,8 @@ func SuiteLayout(s Scale, seed int64, lay Layout) []*Graph {
 // cache lock, so the callback is never invoked concurrently.
 var SuiteProgress func(g *Graph, elapsed time.Duration)
 
-// buildSuite generates the suite; Suite memoizes it. lay must already be
-// resolved (plain or compact); compact conversion happens inside the
-// per-graph loop so each plain intermediate is dropped before the next
-// graph generates.
-func buildSuite(s Scale, seed int64, lay Layout) []*Graph {
+// buildSuite generates the suite; Suite memoizes it.
+func buildSuite(s Scale, seed int64) []*Graph {
 	var gens []func() *Graph
 	switch s {
 	case ScaleTiny:
@@ -554,16 +544,12 @@ func buildSuite(s Scale, seed int64, lay Layout) []*Graph {
 	}
 	out := make([]*Graph, len(gens))
 	for i, gen := range gens {
-		build := gen
-		if lay == LayoutCompact {
-			build = func() *Graph { return gen().WithLayout(LayoutCompact) }
-		}
 		if SuiteProgress != nil {
 			start := time.Now() //lint:allow determinism (host-side progress timing, not simulated state)
-			out[i] = build()
+			out[i] = gen()
 			SuiteProgress(out[i], time.Since(start)) //lint:allow determinism (host-side progress timing)
 		} else {
-			out[i] = build()
+			out[i] = gen()
 		}
 	}
 	return out

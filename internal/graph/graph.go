@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 )
 
 // V is the vertex identifier type. Real-world frameworks use 32-bit IDs; so
@@ -19,50 +20,26 @@ import (
 type V = uint32
 
 // Adj is one traversal direction of the adjacency matrix in compressed
-// sparse form, in one of two layouts. The plain layout is the classic
-// two-array CSR: OA (Offsets Array) has length N+1 and the neighbors of
-// vertex v occupy NA[OA[v]:OA[v+1]], sorted ascending. The compact layout
-// (see compact.go) stores the same lists blocked and delta-compressed
-// behind the same API; OA and NA are nil and c carries the storage.
-// Sorted neighbor lists are what make transpose-based next-reference
-// lookups cheap in either layout.
-//
-// Every accessor dispatches on the layout, and the global edge indexing —
-// the value Start/IterFrom report, which kernels use as the simulated
-// neighbor-array index — is identical across layouts, so the simulated
-// address stream does not depend on the host representation.
+// sparse form: the classic two-array CSR. OA (Offsets Array) has length
+// N+1 and the neighbors of vertex v occupy NA[OA[v]:OA[v+1]], sorted
+// ascending. Sorted neighbor lists are what make transpose-based
+// next-reference lookups cheap. The edge index OA[v] is also the value
+// kernels use as the simulated neighbor-array index.
 //
 //popt:frozen
 type Adj struct {
 	OA []uint64
 	NA []V
-	c  *adjCompact
 }
-
-// IsCompact reports whether a uses the blocked compressed layout.
-func (a *Adj) IsCompact() bool { return a.c != nil }
 
 // N returns the number of vertices.
-func (a *Adj) N() int {
-	if a.c != nil {
-		return a.c.n
-	}
-	return len(a.OA) - 1
-}
+func (a *Adj) N() int { return len(a.OA) - 1 }
 
 // M returns the number of directed edges.
-func (a *Adj) M() int {
-	if a.c != nil {
-		return int(a.c.m)
-	}
-	return len(a.NA)
-}
+func (a *Adj) M() int { return len(a.NA) }
 
 // MemBytes returns the resident byte footprint of the adjacency storage.
 func (a *Adj) MemBytes() uint64 {
-	if a.c != nil {
-		return a.c.memBytes()
-	}
 	return 8*uint64(len(a.OA)) + 4*uint64(len(a.NA))
 }
 
@@ -70,90 +47,34 @@ func (a *Adj) MemBytes() uint64 {
 //
 //popt:hot
 func (a *Adj) Degree(v V) int {
-	if a.c != nil {
-		return a.c.degree(v)
-	}
 	return int(a.OA[v+1] - a.OA[v])
 }
 
-// Start returns the global edge index of v's first neighbor — OA[v] on the
-// plain layout. v == N() is allowed and returns M().
+// Start returns the global edge index of v's first neighbor, OA[v].
+// v == N() is allowed and returns M().
 //
 //popt:hot
 func (a *Adj) Start(v V) uint64 {
-	if a.c != nil {
-		return a.c.start(v)
-	}
 	return a.OA[v]
 }
 
-// Neighs returns the (sorted) neighbor list of v. On the plain layout the
-// slice aliases the underlying NA storage and must not be modified; on the
-// compact layout it is freshly decoded per call, so hot paths should use
-// IterFrom, Neighbors, or CopyNeighbors instead.
+// Neighs returns the (sorted) neighbor list of v. The slice aliases the
+// underlying NA storage and must not be modified.
 //
 //popt:hot
 func (a *Adj) Neighs(v V) []V {
-	if a.c != nil {
-		return a.c.neighsAlloc(v)
-	}
 	return a.NA[a.OA[v]:a.OA[v+1]]
-}
-
-// Neighbors returns the sorted neighbor list of v without allocating: the
-// plain layout returns the NA alias, the compact layout decodes into *buf
-// (growing it as needed) and returns the filled prefix. The result is
-// invalidated by the next call with the same buf and must not be modified.
-//
-//popt:hot
-func (a *Adj) Neighbors(v V, buf *[]V) []V {
-	if a.c == nil {
-		return a.NA[a.OA[v]:a.OA[v+1]]
-	}
-	d := a.c.degree(v)
-	if cap(*buf) < d {
-		*buf = growV(*buf, d)
-	}
-	dst := (*buf)[:d]
-	a.c.decodeInto(v, dst)
-	return dst
-}
-
-// growV is the cold buffer-growth path of Neighbors and NeighborIter,
-// kept out of their inlining budget.
-//
-//go:noinline
-func growV(buf []V, d int) []V {
-	if c := cap(buf); c*2 > d {
-		d = c * 2
-	}
-	return make([]V, d)
-}
-
-// CopyNeighbors copies v's neighbors into dst (which must have room for
-// Degree(v) elements) and returns the count.
-//
-//popt:hot
-func (a *Adj) CopyNeighbors(dst []V, v V) int {
-	if a.c != nil {
-		return a.c.decodeInto(v, dst)
-	}
-	return copy(dst, a.NA[a.OA[v]:a.OA[v+1]])
 }
 
 // NextAfter returns the smallest neighbor of v that is strictly greater
 // than cur, and ok=false if no such neighbor exists. In a pull execution
 // that is the outer-loop iteration at which srcData[v] is next referenced;
-// it is the primitive on which T-OPT is built. The plain layout binary
-// searches (hand rolled: sort.Search's closure costs an indirect call per
-// probe on what is a per-eviction-candidate operation); the compact layout
-// decode-scans forward with early exit.
+// it is the primitive on which T-OPT is built. The binary search is hand
+// rolled: sort.Search's closure costs an indirect call per probe on what
+// is a per-eviction-candidate operation.
 //
 //popt:hot
 func (a *Adj) NextAfter(v V, cur V) (next V, ok bool) {
-	if a.c != nil {
-		return a.c.nextAfter(v, cur)
-	}
 	ns := a.NA[a.OA[v]:a.OA[v+1]]
 	lo, hi := 0, len(ns)
 	for lo < hi {
@@ -172,39 +93,20 @@ func (a *Adj) NextAfter(v V, cur V) (next V, ok bool) {
 
 // NeighborIter walks vertices in ascending order, yielding each vertex's
 // sorted neighbor list and the global edge index of its first neighbor.
-// It is the layout-neutral form of the canonical CSR inner loop
+// It is the canonical CSR inner loop
 //
 //	for e := OA[v]; e < OA[v+1]; e++ { ... NA[e] ... }
 //
-// On the plain layout Next is two loads and a subslice; on the compact
-// layout it decodes each list in one forward pass, never paying the
-// random-access block prefix. The returned slice is invalidated by the
-// next call and must not be modified.
+// as two loads and a subslice per vertex. The returned slice must not be
+// modified.
 type NeighborIter struct {
-	// Plain layout cursors.
 	oa []uint64
 	na []V
-	// Compact layout cursors.
-	c    *adjCompact
-	buf  []V
-	pos  uint64 // byte offset of vertex v's encoded list
-	edge uint64 // global edge index of vertex v's first neighbor
-	exc  int    // exception-table cursor (first entry at vertex >= v)
-	v    V      // next vertex to yield
 }
 
 // IterFrom returns an iterator positioned at vertex v.
 func (a *Adj) IterFrom(v V) NeighborIter {
-	if a.c == nil {
-		return NeighborIter{oa: a.OA[v:], na: a.NA}
-	}
-	return NeighborIter{
-		c:    a.c,
-		pos:  a.c.vpos(v),
-		edge: a.c.start(v),
-		exc:  a.c.excIndex(v),
-		v:    v,
-	}
+	return NeighborIter{oa: a.OA[v:], na: a.NA}
 }
 
 // Next yields the neighbors of the current vertex and the global edge
@@ -213,49 +115,10 @@ func (a *Adj) IterFrom(v V) NeighborIter {
 //
 //popt:hot
 func (it *NeighborIter) Next() (ns []V, start uint64) {
-	if it.c == nil {
-		lo := it.oa[0]
-		hi := it.oa[1]
-		it.oa = it.oa[1:]
-		return it.na[lo:hi:hi], lo
-	}
-	return it.nextCompact()
-}
-
-// nextCompact is the compact-layout decode step: one varint per neighbor,
-// sequential in the data array.
-//
-//popt:hot
-func (it *NeighborIter) nextCompact() (ns []V, start uint64) {
-	c := it.c
-	d := int(c.deg[it.v])
-	if d == degEscape {
-		d = int(c.excDeg[it.exc])
-		it.exc++
-	}
-	if cap(it.buf) < d {
-		it.buf = growV(it.buf, d)
-	}
-	dst := it.buf[:d]
-	pos := it.pos
-	if d > 0 {
-		data := c.data
-		x, p := uvarintAt(data, pos)
-		prev := V(x)
-		dst[0] = prev
-		for i := 1; i < d; i++ {
-			gap, p2 := uvarintAt(data, p)
-			prev += V(gap) + 1
-			dst[i] = prev
-			p = p2
-		}
-		pos = p
-	}
-	it.pos = pos
-	start = it.edge
-	it.edge += uint64(d)
-	it.v++
-	return dst, start
+	lo := it.oa[0]
+	hi := it.oa[1]
+	it.oa = it.oa[1:]
+	return it.na[lo:hi:hi], lo
 }
 
 // Graph is an immutable directed graph stored in both traversal directions.
@@ -367,15 +230,19 @@ func (g *Graph) Validate() error {
 	}{{"out", &g.Out}, {"in", &g.In}} {
 		dir, a := da.dir, da.a
 		n := a.N()
-		if a.Start(0) != 0 || a.Start(V(n)) != uint64(a.M()) {
-			return fmt.Errorf("graph %s %s: offsets must span [0,%d], got [%d,%d]", g.Name, dir, a.M(), a.Start(0), a.Start(V(n)))
+		if n < 0 || uint64(n) > math.MaxUint32 {
+			return fmt.Errorf("graph %s %s: offsets array of length %d", g.Name, dir, len(a.OA))
 		}
-		it := a.IterFrom(0)
+		if a.OA[0] != 0 || a.OA[n] != uint64(a.M()) {
+			return fmt.Errorf("graph %s %s: offsets must span [0,%d], got [%d,%d]", g.Name, dir, a.M(), a.OA[0], a.OA[n])
+		}
 		for v := 0; v < n; v++ {
-			ns, start := it.Next()
-			if start != a.Start(V(v)) || len(ns) != a.Degree(V(v)) {
-				return fmt.Errorf("graph %s %s: iterator disagrees with random access at vertex %d", g.Name, dir, v)
+			if a.OA[v] > a.OA[v+1] {
+				return fmt.Errorf("graph %s %s: offsets decrease at vertex %d", g.Name, dir, v)
 			}
+		}
+		for v := 0; v < n; v++ {
+			ns := a.Neighs(V(v))
 			for i, u := range ns {
 				if int(u) >= n {
 					return fmt.Errorf("graph %s %s: vertex %d has out-of-range neighbor %d", g.Name, dir, v, u)
@@ -386,22 +253,11 @@ func (g *Graph) Validate() error {
 			}
 		}
 	}
-	// Every out-edge must appear as an in-edge and vice versa. Membership
-	// goes through NextAfter so the compact layout is not decoded per
-	// probe: v is an in-neighbor of u iff the smallest in-neighbor
-	// strictly greater than v-1 is v (v == 0 checks the first neighbor
-	// directly, since cur would wrap).
-	var scratch, first []V
+	// Every out-edge must appear as an in-edge; with equal edge counts and
+	// unique lists, that makes the two directions transposes.
 	for v := 0; v < g.Out.N(); v++ {
-		for _, u := range g.Out.Neighbors(V(v), &scratch) {
-			present := false
-			if v == 0 {
-				ns := g.In.Neighbors(u, &first)
-				present = len(ns) > 0 && ns[0] == 0
-			} else if next, ok := g.In.NextAfter(u, V(v)-1); ok {
-				present = next == V(v)
-			}
-			if !present {
+		for _, u := range g.Out.Neighs(V(v)) {
+			if !contains(g.In.Neighs(u), V(v)) {
 				return fmt.Errorf("graph %s: edge %d->%d missing from CSC", g.Name, v, u)
 			}
 		}

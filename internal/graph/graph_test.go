@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
 	"strings"
@@ -394,6 +396,93 @@ func TestReadRejectsGarbage(t *testing.T) {
 	if _, err := Read(strings.NewReader("POPTG1")); err == nil {
 		t.Error("truncated payload accepted")
 	}
+}
+
+// malformedGraphFiles are serialized graphs that Read must refuse: each
+// would otherwise allocate without bound or hand back a graph that panics
+// (or misleads) its first consumer.
+func malformedGraphFiles(t testing.TB) []malformedFile {
+	enc := func(out, in Adj) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, &Graph{Out: out, In: in, Name: "bad"}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	// The CSC of the single edge 0->1.
+	in01 := Adj{OA: []uint64{0, 0, 1}, NA: []V{0}}
+	huge := []byte(magic)
+	huge = binary.LittleEndian.AppendUint32(huge, 3)
+	huge = append(huge, "big"...)
+	huge = binary.LittleEndian.AppendUint64(huge, 1<<62)
+	return []malformedFile{
+		{"huge length word", huge},
+		{"offsets past len(NA)", enc(Adj{OA: []uint64{0, 5, 1}, NA: []V{1}}, in01)},
+		{"out-of-range neighbor", enc(Adj{OA: []uint64{0, 1, 1}, NA: []V{7}}, in01)},
+		{"CSR/CSC mismatch", enc(Adj{OA: []uint64{0, 1, 1}, NA: []V{1}}, Adj{OA: []uint64{0, 1, 1}, NA: []V{1}})},
+		{"retired compact format", append([]byte("POPTG2"), enc(Adj{OA: []uint64{0, 1, 1}, NA: []V{1}}, in01)[len(magic):]...)},
+	}
+}
+
+type malformedFile struct {
+	name string
+	data []byte
+}
+
+func TestReadRejectsMalformed(t *testing.T) {
+	for _, tc := range malformedGraphFiles(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			g, err := Read(bytes.NewReader(tc.data))
+			if err == nil {
+				t.Fatalf("Read accepted %v", g)
+			}
+			if retired := errors.Is(err, ErrRetiredFormat); retired != (tc.name == "retired compact format") {
+				t.Errorf("errors.Is(%v, ErrRetiredFormat) = %v", err, retired)
+			}
+		})
+	}
+}
+
+// FuzzReadGraph mutates serialized graphs: Read must either return an
+// error or a graph that validates and serializes back to the same bytes.
+func FuzzReadGraph(f *testing.F) {
+	gens := []*Graph{
+		Kron(6, 4, 1),
+		Uniform(64, 256, 2),
+		PowerLaw(64, 4, 2.0, 3),
+		Community(64, 4, 8, 0.8, 4),
+		Mesh(6, 6),
+		MeshScrambled(6, 6, 5),
+	}
+	for i, g := range gens {
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			f.Fatal(err)
+		}
+		if i == 0 {
+			f.Add(buf.Bytes()[:buf.Len()/2])
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, tc := range malformedGraphFiles(f) {
+		f.Add(tc.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("Read returned a graph Validate rejects: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("Write(Read(x)) differs from x (%d vs %d bytes)", buf.Len(), len(data))
+		}
+	})
 }
 
 func TestDBGIsPermutationProperty(t *testing.T) {

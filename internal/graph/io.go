@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -10,60 +11,60 @@ import (
 
 // Serialization uses a small binary container holding the name and both
 // adjacency directions, so generated suites can be saved by cmd/graphgen
-// and reloaded by the benchmark harness without regeneration. Plain graphs
-// write the historical "POPTG1" form, byte-identical to every file written
-// before the compact layout existed; graphs holding a compact direction
-// write "POPTG2", which prefixes each adjacency with a layout byte and
-// stores compact directions in their encoded form (they load without a
-// decode-reencode round trip, and Read validates the payload fully). Read
-// accepts both.
+// and reloaded by the benchmark harness without regeneration:
+//
+//	"POPTG1"
+//	uint32 len(name), name
+//	per direction (Out, then In):
+//	  uint64 len(OA), OA as little-endian uint64s
+//	  uint64 len(NA), NA as little-endian uint32s
+//
+// Read treats the file as untrusted input: arrays are read in bounded
+// blocks, so a length word larger than the data present fails with an
+// EOF error instead of an allocation of that size, and the loaded graph
+// must pass Validate.
 
-const (
-	magic   = "POPTG1"
-	magicV2 = "POPTG2"
+const magic = "POPTG1"
 
-	adjLayoutPlain   = 0
-	adjLayoutCompact = 1
-)
+// ErrRetiredFormat is returned by Read for "POPTG2" files, which held the
+// blocked delta-compressed adjacency layout. That layout was retired; the
+// graph has to be regenerated (or rewritten by an older build) as POPTG1.
+var ErrRetiredFormat = errors.New("graph: POPTG2 files hold the retired compact adjacency layout; regenerate the graph as POPTG1")
+
+// readBlock bounds the elements Read allocates ahead of the bytes that
+// back them.
+const readBlock = 1 << 16
 
 // Write serializes g to w.
 func Write(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriter(w)
-	v2 := g.Out.IsCompact() || g.In.IsCompact()
-	head := magic
-	if v2 {
-		head = magicV2
-	}
-	if _, err := bw.WriteString(head); err != nil {
+	if _, err := bw.WriteString(magic); err != nil {
 		return err
 	}
 	if err := writeString(bw, g.Name); err != nil {
 		return err
 	}
 	for _, a := range []*Adj{&g.Out, &g.In} {
-		if v2 {
-			if err := writeAdjV2(bw, a); err != nil {
-				return err
-			}
-		} else if err := writeAdj(bw, a); err != nil {
+		if err := writeAdj(bw, a); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// Read deserializes a graph written by Write.
+// Read deserializes a graph written by Write. It consumes r to its end:
+// bytes after the second adjacency are an error, as is any graph that
+// fails Validate.
 func Read(r io.Reader) (*Graph, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
 	if _, err := io.ReadFull(br, head); err != nil {
 		return nil, fmt.Errorf("graph: reading magic: %w", err)
 	}
-	v2 := false
 	switch string(head) {
 	case magic:
-	case magicV2:
-		v2 = true
+	case "POPTG2":
+		return nil, ErrRetiredFormat
 	default:
 		return nil, fmt.Errorf("graph: bad magic %q", head)
 	}
@@ -73,68 +74,17 @@ func Read(r io.Reader) (*Graph, error) {
 	}
 	g := &Graph{Name: name}
 	for _, a := range []*Adj{&g.Out, &g.In} {
-		if v2 {
-			if err := readAdjV2(br, a); err != nil {
-				return nil, err
-			}
-		} else if err := readAdj(br, a); err != nil {
+		if err := readAdj(br, a); err != nil {
 			return nil, err
 		}
 	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return nil, fmt.Errorf("graph %s: trailing data after the adjacency arrays", name)
+	}
+	if err := g.Validate(); err != nil {
+		return nil, err
+	}
 	return g, nil
-}
-
-// writeAdjV2 writes a layout byte, then either the POPTG1 array form or
-// the length-prefixed compact payload.
-func writeAdjV2(w io.Writer, a *Adj) error {
-	if !a.IsCompact() {
-		if _, err := w.Write([]byte{adjLayoutPlain}); err != nil {
-			return err
-		}
-		return writeAdj(w, a)
-	}
-	if _, err := w.Write([]byte{adjLayoutCompact}); err != nil {
-		return err
-	}
-	payload := appendCompactAdj(nil, a.c)
-	if err := binary.Write(w, binary.LittleEndian, uint64(len(payload))); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readAdjV2(r io.Reader, a *Adj) error {
-	var lay [1]byte
-	if _, err := io.ReadFull(r, lay[:]); err != nil {
-		return err
-	}
-	switch lay[0] {
-	case adjLayoutPlain:
-		return readAdj(r, a)
-	case adjLayoutCompact:
-		var size uint64
-		if err := binary.Read(r, binary.LittleEndian, &size); err != nil {
-			return err
-		}
-		if size > 1<<40 {
-			return fmt.Errorf("graph: unreasonable compact payload size %d", size)
-		}
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return err
-		}
-		c, rest, err := decodeCompactAdj(payload)
-		if err != nil {
-			return err
-		}
-		if len(rest) != 0 {
-			return fmt.Errorf("graph: %d trailing bytes after compact adjacency", len(rest))
-		}
-		*a = Adj{c: c}
-		return nil
-	}
-	return fmt.Errorf("graph: unknown adjacency layout %d", lay[0])
 }
 
 func writeString(w io.Writer, s string) error {
@@ -174,19 +124,36 @@ func writeAdj(w io.Writer, a *Adj) error {
 }
 
 func readAdj(r io.Reader, a *Adj) error {
+	oa, err := readArray[uint64](r)
+	if err != nil {
+		return fmt.Errorf("graph: reading offsets: %w", err)
+	}
+	na, err := readArray[V](r)
+	if err != nil {
+		return fmt.Errorf("graph: reading neighbors: %w", err)
+	}
+	*a = Adj{OA: oa, NA: na}
+	return nil
+}
+
+// readArray reads a length word and that many little-endian elements,
+// readBlock at a time, so memory grows only with bytes actually read.
+func readArray[T uint64 | V](r io.Reader) ([]T, error) {
 	var n uint64
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
+		return nil, err
 	}
-	a.OA = make([]uint64, n)
-	if err := binary.Read(r, binary.LittleEndian, a.OA); err != nil {
-		return err
+	block := make([]T, min(n, readBlock))
+	out := make([]T, 0, len(block))
+	for rem := n; rem > 0; {
+		k := min(rem, readBlock)
+		if err := binary.Read(r, binary.LittleEndian, block[:k]); err != nil {
+			return nil, err
+		}
+		out = append(out, block[:k]...)
+		rem -= k
 	}
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return err
-	}
-	a.NA = make([]V, n)
-	return binary.Read(r, binary.LittleEndian, a.NA)
+	return out, nil
 }
 
 // ParseEdgeList parses a whitespace-separated "src dst" edge list (one edge

@@ -46,8 +46,6 @@ func Segment(g *Graph, numTiles int) *Segmented {
 
 // filterAdjBySource keeps only neighbors in [lo, hi) of each vertex list.
 // Because lists are sorted, each filtered list is a contiguous sub-slice.
-// Both passes run through the sequential iterator, so a compact input is
-// decoded streaming rather than per-vertex.
 func filterAdjBySource(in *Adj, lo, hi V) Adj {
 	n := in.N()
 	oa := make([]uint64, n+1)

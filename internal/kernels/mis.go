@@ -151,8 +151,7 @@ func NewMIS(gIn *graph.Graph) *Workload {
 }
 
 // Symmetrize returns the undirected closure of g (every edge present in
-// both directions, self-loops dropped). The result keeps g's adjacency
-// layout so a compact input stays compact.
+// both directions, self-loops dropped).
 func Symmetrize(g *graph.Graph) *graph.Graph {
 	n := g.NumVertices()
 	edges := make([]graph.Edge, 0, 2*g.NumEdges())
@@ -166,11 +165,7 @@ func Symmetrize(g *graph.Graph) *graph.Graph {
 			edges = append(edges, graph.Edge{Src: graph.V(u), Dst: v}, graph.Edge{Src: v, Dst: graph.V(u)})
 		}
 	}
-	sym := graph.FromEdges(g.Name+"-sym", n, edges)
-	if g.Out.IsCompact() {
-		sym = sym.WithLayout(graph.LayoutCompact)
-	}
-	return sym
+	return graph.FromEdges(g.Name+"-sym", n, edges)
 }
 
 // goldenLexFirstMIS computes the lexicographically-first maximal

@@ -56,8 +56,8 @@ func NewPageRank(g *graph.Graph) *Workload {
 			}
 			// Pull phase: irregular contrib reads guided by the CSC. The
 			// iterator yields each destination's sources plus the global
-			// edge index its list starts at, so the simulated neighbor-
-			// array addresses are identical in either adjacency layout.
+			// edge index its list starts at, which is the simulated
+			// neighbor-array index.
 			r.StartIteration()
 			cscIt := g.In.IterFrom(0)
 			for dst := 0; dst < n; dst++ {

@@ -38,9 +38,8 @@ func NewPageRankOrdered(g *graph.Graph, order []graph.V) *Workload {
 	}
 	w.run = func(r *Runner) {
 		// The schedule visits destinations out of order, so the pull phase
-		// uses random access (Start + Neighbors) rather than the sequential
+		// uses random access (Start + Neighs) rather than the sequential
 		// iterator; the simulated addresses are the same either way.
-		var scratch []graph.V
 		for it := 0; it < prIters; it++ {
 			for v := 0; v < n; v++ {
 				r.Load(rankArr, v, PCStreamRead)
@@ -58,7 +57,7 @@ func NewPageRankOrdered(g *graph.Graph, order []graph.V) *Workload {
 				r.Load(oaArr, int(dst), PCOffsets)
 				sum := 0.0
 				lo := g.In.Start(dst)
-				for i, src := range g.In.Neighbors(dst, &scratch) {
+				for i, src := range g.In.Neighs(dst) {
 					r.Load(naArr, int(lo)+i, PCNeighbors)
 					r.Load(contribArr, int(src), PCIrregRead)
 					sum += contrib[src]

@@ -163,11 +163,10 @@ func bfsForward(g *graph.Graph, s graph.V, maxRounds int) []int {
 	}
 	dist[s] = 0
 	cur := []graph.V{s}
-	var scratch []graph.V
 	for round := 1; len(cur) > 0 && round <= maxRounds; round++ {
 		var next []graph.V
 		for _, u := range cur {
-			for _, v := range g.Out.Neighbors(u, &scratch) {
+			for _, v := range g.Out.Neighs(u) {
 				if dist[v] < 0 {
 					dist[v] = round
 					next = append(next, v)

@@ -130,7 +130,6 @@ func goldenBellmanFord(g *graph.Graph, source graph.V, rounds int) []uint32 {
 		dist[v] = infDist32
 	}
 	dist[source] = 0
-	var scratch []graph.V
 	for round := 0; round < rounds; round++ {
 		copy(next, dist)
 		changed := false
@@ -138,7 +137,7 @@ func goldenBellmanFord(g *graph.Graph, source graph.V, rounds int) []uint32 {
 			if dist[u] == infDist32 {
 				continue
 			}
-			for _, v := range g.Out.Neighbors(graph.V(u), &scratch) {
+			for _, v := range g.Out.Neighs(graph.V(u)) {
 				if d := dist[u] + EdgeWeight(graph.V(u), v); d < next[v] {
 					next[v] = d
 					changed = true

@@ -22,7 +22,6 @@ func BDFSOrder(g *graph.Graph, depthBound int) []graph.V {
 		depth int
 	}
 	stack := make([]frame, 0, depthBound*4)
-	var scratch []graph.V
 	for root := 0; root < n; root++ {
 		if visited[root] {
 			continue
@@ -40,7 +39,7 @@ func BDFSOrder(g *graph.Graph, depthBound int) []graph.V {
 				continue
 			}
 			// Push in reverse so low-ID neighbors are visited first.
-			ns := g.Out.Neighbors(f.v, &scratch)
+			ns := g.Out.Neighs(f.v)
 			for i := len(ns) - 1; i >= 0; i-- {
 				if !visited[ns[i]] {
 					stack = append(stack, frame{ns[i], f.depth + 1})
